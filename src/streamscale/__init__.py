@@ -12,14 +12,14 @@ from .stream import (LinkStream, StreamSummary, ParseError, parse_tsv,
                      parse_konect, write_tsv, stream_summary)
 from .aggregate import GraphSeries, DeltaGrid, aggregate, delta_grid
 from .reach import (OccupancyDistribution, DistanceAggregates, occupancy_rate,
-                    minimal_trip_sweep, stream_earliest_arrival)
+                    minimal_trip_sweep)
 from .metrics import (icd, icd_points, mk_distance, mk_proximity, std_dev,
                       variation_coeff, shannon_entropy, cre, MetricCurve,
                       select_gamma, compute_metrics)
 from .classic import ClassicStats, snapshot_stats, distance_stats, classic_stats
 from .validate import (TransitionSet, ElongationResult, LossReport,
                        enumerate_shortest_transitions, lost_fraction,
-                       mean_elongation)
+                       mean_elongation, run_validation)
 from .synth import UniformSpec, TwoModeSpec, gen_uniform, gen_two_mode
 from .sweep import SweepReport, GridEntry, run_sweep, report_to_json
 
@@ -30,13 +30,14 @@ __all__ = [
     "write_tsv", "stream_summary",
     "GraphSeries", "DeltaGrid", "aggregate", "delta_grid",
     "OccupancyDistribution", "DistanceAggregates", "occupancy_rate",
-    "minimal_trip_sweep", "stream_earliest_arrival",
+    "minimal_trip_sweep",
     "icd", "icd_points", "mk_distance", "mk_proximity", "std_dev",
     "variation_coeff", "shannon_entropy", "cre", "MetricCurve",
     "select_gamma", "compute_metrics",
     "ClassicStats", "snapshot_stats", "distance_stats", "classic_stats",
     "TransitionSet", "ElongationResult", "LossReport",
     "enumerate_shortest_transitions", "lost_fraction", "mean_elongation",
+    "run_validation",
     "UniformSpec", "TwoModeSpec", "gen_uniform", "gen_two_mode",
     "SweepReport", "GridEntry", "run_sweep", "report_to_json",
     "__version__",

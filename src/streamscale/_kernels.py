@@ -1,12 +1,9 @@
-"""Hot scalar loops over raw stream events, jitted when numba is present.
+"""The per-destination minimal-trip DP, jitted when numba is present.
 
-Both kernels walk events backward over distinct timestamps (links at one
-instant cannot chain) keeping, per node x, the earliest arrival at a
-fixed destination among paths departing at or after the scan position.
-A stamp array makes the per-query/per-destination state reset O(1).
-
-Without numba the same functions run as plain Python: identical results,
-just slower.
+``column_sweep`` is the optional accelerator of
+:func:`streamscale.reach.minimal_trip_sweep` (``engine="numba"``); the
+numpy engine in :mod:`streamscale.reach` computes the same results and is
+what runs without numba.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ except ImportError:  # pragma: no cover - exercised only without numba
         def wrap(func):
             return func
         return wrap
-
-_INF = 1 << 62
 
 
 @njit(cache=True, nogil=True)
@@ -125,124 +120,3 @@ def column_sweep(n, K, snap_ids, snap_ptr, edge_src, edge_dst, cols):
                 sum_dh[ci] += r_ * hp[x]
                 fin[ci] += r_
     return keys[:nkeys], sum_dt, sum_dh, fin
-
-
-@njit(cache=True)
-def _advance(ev_t, ev_s, ev_d, i, limit, dest, mark, val, stamp, bx, ba):
-    """Consume event groups with t > limit, updating arrival state.
-
-    Events sharing a timestamp are staged and applied together so they
-    cannot chain. Returns the new scan index.
-    """
-    while i >= 0 and ev_t[i] > limit:
-        t = ev_t[i]
-        j = i
-        cnt = 0
-        while j >= 0 and ev_t[j] == t:
-            x = ev_s[j]
-            y = ev_d[j]
-            if y == dest:
-                cand = t
-            elif stamp[y] == mark:
-                cand = val[y]
-            else:
-                cand = np.int64(-1)
-            if cand >= 0:
-                bx[cnt] = x
-                ba[cnt] = cand
-                cnt += 1
-            j -= 1
-        for r in range(cnt):
-            x = bx[r]
-            cand = ba[r]
-            if stamp[x] != mark or cand < val[x]:
-                stamp[x] = mark
-                val[x] = cand
-        i = j
-    return i
-
-
-@njit(cache=True)
-def window_min_durations(ev_t, ev_s, ev_d, q_u, q_v, q_lo, q_hi, n):
-    """Per query (u, v, t_lo, t_hi): min t_arr - t_dep over trips inside
-    the window, -1 when v is unreachable from u there."""
-    out = np.full(q_u.size, -1, dtype=np.int64)
-    val = np.zeros(n, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    bx = np.empty(ev_t.size, dtype=np.int64)
-    ba = np.empty(ev_t.size, dtype=np.int64)
-    for q in range(q_u.size):
-        u = q_u[q]
-        v = q_v[q]
-        lo = np.searchsorted(ev_t, q_lo[q], side="left")
-        hi = np.searchsorted(ev_t, q_hi[q], side="right")
-        best = np.int64(-1)
-        i = hi - 1
-        while i >= lo:
-            t = ev_t[i]
-            j = i
-            cnt = 0
-            while j >= lo and ev_t[j] == t:
-                x = ev_s[j]
-                y = ev_d[j]
-                if y == v:
-                    cand = t
-                elif stamp[y] == q:
-                    cand = val[y]
-                else:
-                    cand = np.int64(-1)
-                if cand >= 0:
-                    if x == u:
-                        d = cand - t
-                        if best < 0 or d < best:
-                            best = d
-                    bx[cnt] = x
-                    ba[cnt] = cand
-                    cnt += 1
-                j -= 1
-            for r in range(cnt):
-                x = bx[r]
-                cand = ba[r]
-                if stamp[x] != q or cand < val[x]:
-                    stamp[x] = q
-                    val[x] = cand
-            i = j
-        out[q] = best
-    return out
-
-
-@njit(cache=True)
-def transition_checks(ev_t, ev_s, ev_d, q_a, q_t1, q_t2, grp_dest, grp_start, n):
-    """Stream-level minimality of candidate trips (a, c, t1, t2).
-
-    Queries are grouped by destination c (``grp_dest``/``grp_start``) and
-    sorted by t1 descending inside a group. A candidate passes iff the
-    earliest arrival from a to c departing at or after t1 equals t2 while
-    departing strictly after t1 arrives strictly after t2.
-    """
-    out = np.zeros(q_a.size, dtype=np.bool_)
-    val = np.zeros(n, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    bx = np.empty(ev_t.size, dtype=np.int64)
-    ba = np.empty(ev_t.size, dtype=np.int64)
-    for g in range(grp_dest.size):
-        c = grp_dest[g]
-        qi = grp_start[g]
-        qend = grp_start[g + 1]
-        i = ev_t.size - 1
-        while qi < qend:
-            t1 = q_t1[qi]
-            i = _advance(ev_t, ev_s, ev_d, i, t1, c, g, val, stamp, bx, ba)
-            qj = qi
-            while qj < qend and q_t1[qj] == t1:
-                a = q_a[qj]
-                ea_after = val[a] if stamp[a] == g else _INF
-                out[qj] = ea_after > q_t2[qj]
-                qj += 1
-            i = _advance(ev_t, ev_s, ev_d, i, t1 - 1, c, g, val, stamp, bx, ba)
-            for r in range(qi, qj):
-                a = q_a[r]
-                ea_at = val[a] if stamp[a] == g else _INF
-                out[r] = out[r] and ea_at == q_t2[r]
-            qi = qj
-    return out

@@ -21,8 +21,7 @@ from .stream import ParseError, parse_konect, parse_tsv, stream_summary, write_t
 from .sweep import (fmt, report_to_json, run_sweep, write_classic_csv,
                     write_curve_csv, write_icd_csv, write_validate_csv)
 from .synth import TwoModeSpec, UniformSpec, gen_two_mode, gen_uniform
-from .validate import (LossReport, enumerate_shortest_transitions,
-                       lost_fraction, mean_elongation)
+from .validate import run_validation
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -213,25 +212,8 @@ def cmd_validate(args):
     else:
         raise ValueError("validate needs --k-list or --at-gamma")
 
-    transitions = enumerate_shortest_transitions(stream)
-    _log(f"{len(transitions)} shortest transitions in the stream")
-    rows = []
-    for K in ks:
-        series = aggregate(stream, K)
-        lost = lost_fraction(stream, K, transitions)
-        elong = mean_elongation(stream, series, threads=args.threads,
-                                seed=args.seed, max_samples=args.max_samples)
-        rows.append(LossReport(
-            snapshot_count=K,
-            delta_seconds=series.delta_seconds,
-            total_shortest_transitions=len(transitions),
-            lost_fraction=lost,
-            mean_elongation=elong.mean,
-            elongation_samples=elong.samples,
-        ))
-        if elong.sampled:
-            _log(f"K={K}: elongation over a {elong.samples}-trip subsample "
-                 f"of {elong.eligible} eligible trips")
+    rows = run_validation(stream, ks, max_samples=args.max_samples,
+                          seed=args.seed, log=_log)
     fh, close = _out_stream(args.out)
     try:
         write_validate_csv(rows, fh)

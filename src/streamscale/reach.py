@@ -28,7 +28,6 @@ __all__ = [
     "DistanceAggregates",
     "occupancy_rate",
     "minimal_trip_sweep",
-    "stream_earliest_arrival",
 ]
 
 _FLUSH_AT = 1 << 20
@@ -307,11 +306,13 @@ def _combine_keyed_counts(partials):
     return uniq, np.rint(merged).astype(np.int64)
 
 
-def _sweep_columns(series, cols, trip_sink=None):
+def _sweep_columns(series, cols, trip_sink=None, summarize=True):
     """Backward DP over one block of destination columns.
 
     Returns (packed emission keys, counts, sum_d_time, sum_d_hops,
-    finite_triples) with exact integer sums.
+    finite_triples) with exact integer sums. With ``summarize`` false
+    only ``trip_sink`` sees the trips: no keys are counted, no distance
+    sums are kept, and None is returned.
     """
     n = series.node_count
     K = series.snapshot_count
@@ -328,7 +329,7 @@ def _sweep_columns(series, cols, trip_sink=None):
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
 
-    buf = _EmissionBuffer(K)
+    buf = _EmissionBuffer(K) if summarize else None
     sum_d_time = 0
     sum_d_hops = 0
     finite_triples = 0
@@ -379,32 +380,38 @@ def _sweep_columns(series, cols, trip_sink=None):
         # pass 2: close runs, emit improvements, write the k state
         for u, new_ea, new_hp in updates:
             old_ea = ea[u]
-            old_hp = hp[u]
-            changed = (new_ea != old_ea) | (new_hp != old_hp)
-            ch = np.nonzero(changed)[0]
-            if ch.size == 0:
-                continue
-            old_ea_ch = old_ea[ch].astype(np.int64)
-            fin = old_ea_ch != int(sentinel)
-            if fin.any():
-                a = old_ea_ch[fin]
-                h = old_hp[ch][fin].astype(np.int64)
-                r = run_end[u][ch][fin].astype(np.int64)
-                cnt = r - k
-                sum_d_time += _exact_sum(cnt * (2 * (a + 1) - (k + 1 + r)) // 2)
-                sum_d_hops += _exact_sum(cnt * h)
-                finite_triples += _exact_sum(cnt)
-            run_end[u][ch] = dtype(k)
-            improved = ch[new_ea[ch].astype(np.int64) < old_ea_ch]
+            if summarize:
+                old_hp = hp[u]
+                changed = (new_ea != old_ea) | (new_hp != old_hp)
+                ch = np.nonzero(changed)[0]
+                if ch.size == 0:
+                    continue
+                old_ea_ch = old_ea[ch].astype(np.int64)
+                fin = old_ea_ch != int(sentinel)
+                if fin.any():
+                    a = old_ea_ch[fin]
+                    h = old_hp[ch][fin].astype(np.int64)
+                    r = run_end[u][ch][fin].astype(np.int64)
+                    cnt = r - k
+                    sum_d_time += _exact_sum(cnt * (2 * (a + 1) - (k + 1 + r)) // 2)
+                    sum_d_hops += _exact_sum(cnt * h)
+                    finite_triples += _exact_sum(cnt)
+                run_end[u][ch] = dtype(k)
+                improved = ch[new_ea[ch].astype(np.int64) < old_ea_ch]
+            else:
+                improved = np.nonzero(new_ea < old_ea)[0]
             if improved.size:
                 arr = new_ea[improved].astype(np.int64)
                 hops = new_hp[improved].astype(np.int64)
-                buf.add(hops, arr - k + 1)
+                if summarize:
+                    buf.add(hops, arr - k + 1)
                 if trip_sink is not None:
                     trip_sink(u, cols[improved], k, arr, hops)
             ea[u] = new_ea
             hp[u] = new_hp
 
+    if not summarize:
+        return None
     # flush the final runs: the last state holds for departures 1..run_end
     for u in range(n):
         row_ea = ea[u].astype(np.int64)
@@ -436,12 +443,26 @@ def _kernel_columns(series, cols):
 
 
 def _column_blocks(n, cols, threads, engine):
+    """Destination blocks: one per thread for the numba engine; for the
+    numpy engine only as many as the state memory budget needs, since its
+    per-row loop holds the GIL and every extra block walks every snapshot
+    again."""
     if engine == "numba":
         blocks = max(1, threads)
     else:
-        per_block = max(1, _MAX_STATE_ELEMENTS // n)
-        blocks = max(threads, -(-cols.size // per_block))
+        blocks = -(-cols.size // max(1, _MAX_STATE_ELEMENTS // n))
     return np.array_split(cols, min(blocks, cols.size))
+
+
+def _sink_columns(n, sinks):
+    if sinks is None:
+        return np.arange(n, dtype=np.int64)
+    cols = np.unique(np.asarray(list(sinks), dtype=np.int64))
+    if cols.size == 0:
+        raise ValueError("sinks must be non-empty")
+    if cols.min() < 0 or cols.max() >= n:
+        raise ValueError("sink ids out of range")
+    return cols
 
 
 def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
@@ -450,8 +471,10 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
 
     Runs the backward DP toward every destination in ``sinks`` (all nodes
     by default). Destination columns are independent, so they are swept
-    in blocks, in parallel when ``threads`` > 1; block partials merge
-    exactly, making the result independent of the block/thread layout.
+    in blocks whose partials merge exactly, making the result independent
+    of the block/thread layout. The numba engine sweeps one block per
+    thread in parallel when ``threads`` > 1; the numpy engine splits only
+    to bound its state memory and runs its blocks one after another.
     ``trip_sink(u, v_array, dep, arr_array, hops_array)``, when given,
     receives every emitted minimal trip.
 
@@ -464,14 +487,7 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
     Returns (OccupancyDistribution, DistanceAggregates).
     """
     n = series.node_count
-    if sinks is None:
-        cols = np.arange(n, dtype=np.int64)
-    else:
-        cols = np.unique(np.asarray(list(sinks), dtype=np.int64))
-        if cols.size == 0:
-            raise ValueError("sinks must be non-empty")
-        if cols.min() < 0 or cols.max() >= n:
-            raise ValueError("sink ids out of range")
+    cols = _sink_columns(n, sinks)
 
     if engine == "auto":
         engine = "numba" if _kernels.HAVE_NUMBA and trip_sink is None else "numpy"
@@ -485,7 +501,7 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
         raise ValueError(f"unknown engine {engine!r}")
 
     blocks = _column_blocks(n, cols, threads, engine)
-    if threads > 1 and len(blocks) > 1:
+    if engine == "numba" and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, blocks))
     else:
@@ -504,51 +520,13 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
     return dist, agg
 
 
-def stream_earliest_arrival(stream, u, window, v):
-    """Fastest trip from u to v inside a time window of the raw stream.
+def scan_minimal_trips(series, trip_sink, sinks=None):
+    """Feed every minimal trip toward ``sinks`` to ``trip_sink``, keep nothing.
 
-    Scans the window's events backward over distinct timestamps (links at
-    equal times cannot chain) and returns the (t_dep, t_arr) pair of a
-    stream minimal trip with the smallest duration t_arr - t_dep, with
-    both endpoints inside [t_lo, t_hi]; ties resolve to the earliest
-    departure. Returns None when no such trip exists.
+    The numpy DP of :func:`minimal_trip_sweep` without its products: no
+    occupancy distribution and no distance sums, for callers that only
+    want the trips themselves.
     """
-    u = int(u)
-    v = int(v)
-    if u == v:
-        raise ValueError("u and v must differ")
-    t_lo, t_hi = int(window[0]), int(window[1])
-    if t_lo > t_hi:
-        raise ValueError("empty window")
-    ts = stream.t
-    lo = int(np.searchsorted(ts, t_lo, side="left"))
-    hi = int(np.searchsorted(ts, t_hi, side="right"))
-    if stream.directed:
-        events = [(int(ts[i]), int(stream.u[i]), int(stream.v[i]))
-                  for i in range(lo, hi)]
-    else:
-        events = []
-        for i in range(lo, hi):
-            t, a, b = int(ts[i]), int(stream.u[i]), int(stream.v[i])
-            events.append((t, a, b))
-            events.append((t, b, a))
-
-    arrival = {}
-    best = None
-    i = len(events) - 1
-    while i >= 0:
-        t = events[i][0]
-        group_updates = {}
-        while i >= 0 and events[i][0] == t:
-            _, x, y = events[i]
-            arr = t if y == v else arrival.get(y)
-            if arr is not None:
-                if x == u and (best is None or arr - t < best[1] - best[0]
-                               or (arr - t == best[1] - best[0] and t < best[0])):
-                    best = (t, arr)
-                prev = group_updates.get(x, arrival.get(x))
-                if prev is None or arr < prev:
-                    group_updates[x] = arr
-            i -= 1
-        arrival.update(group_updates)
-    return best
+    cols = _sink_columns(series.node_count, sinks)
+    for block in _column_blocks(series.node_count, cols, 1, "numpy"):
+        _sweep_columns(series, block, trip_sink, summarize=False)

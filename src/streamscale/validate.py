@@ -7,16 +7,24 @@ Two complementary quantifications of what a window length destroys:
 * the elongation factor of the series' minimal trips, comparing each
   trip's absolute duration against the fastest stream realization inside
   the same absolute window.
+
+Both run through the minimal-trip DP of :mod:`streamscale.reach`. The raw
+stream is its own series at K = horizon: snapshot k holds instant k-1,
+and links at one instant cannot chain, just as links in one snapshot
+cannot. One DP pass over that series yields the stream's minimal trips;
+its two-hop ones are the shortest transitions, and the trips of the
+sampled pairs give the fastest realizations.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .reach import minimal_trip_sweep
+from .aggregate import aggregate
+from .reach import minimal_trip_sweep, scan_minimal_trips
 
 __all__ = [
     "TransitionSet",
@@ -25,7 +33,10 @@ __all__ = [
     "enumerate_shortest_transitions",
     "lost_fraction",
     "mean_elongation",
+    "run_validation",
 ]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _sym_events(stream):
@@ -40,6 +51,43 @@ def _sym_events(stream):
     dd = np.concatenate([v, u])
     order = np.lexsort((dd, ss, tt))
     return tt[order], ss[order], dd[order]
+
+
+def _contains(sorted_keys, queries):
+    """Boolean mask: which queries occur in a sorted key array."""
+    if sorted_keys.size == 0:
+        return np.zeros(queries.size, dtype=bool)
+    i = np.searchsorted(sorted_keys, queries)
+    return sorted_keys[np.minimum(i, sorted_keys.size - 1)] == queries
+
+
+def _flatten(batches):
+    """(u, v, dep, arr) arrays from sink batches (u, dep, v_array, arr_array)."""
+    if not batches:
+        return (_EMPTY,) * 4
+    sizes = [b[2].size for b in batches]
+    u = np.repeat(np.array([b[0] for b in batches], dtype=np.int64), sizes)
+    dep = np.repeat(np.array([b[1] for b in batches], dtype=np.int64), sizes)
+    v = np.concatenate([b[2] for b in batches]).astype(np.int64, copy=False)
+    arr = np.concatenate([b[3] for b in batches]).astype(np.int64, copy=False)
+    return u, v, dep, arr
+
+
+def _range_min(values, lo, hi):
+    """min(values[lo[i]:hi[i]]) per query, every slice non-empty.
+
+    One ``minimum.reduceat`` over the interleaved bounds: the slices
+    between consecutive queries, sorted by start, add at most
+    ``values.size`` elements of work.
+    """
+    order = np.argsort(lo, kind="stable")
+    bounds = np.empty(2 * lo.size, dtype=np.int64)
+    bounds[0::2] = lo[order]
+    bounds[1::2] = hi[order]
+    padded = np.append(values, values[:1])  # hi may equal values.size
+    out = np.empty(lo.size, dtype=values.dtype)
+    out[order] = np.minimum.reduceat(padded, bounds)[0::2]
+    return out
 
 
 @dataclass
@@ -60,76 +108,116 @@ class TransitionSet:
                        self.t1.tolist(), self.t2.tolist()))
 
 
-def enumerate_shortest_transitions(stream):
-    """All shortest transitions ((a,b,t1),(b,c,t2)) of the stream.
+def _expand_transitions(stream, a, c, t1, t2):
+    """Shortest transitions of the stream's two-hop minimal trips.
 
-    For each middle node b, each in-event (a, b, t1) and each out-neighbor
-    c, only the earliest out-event with t2 > t1 can yield a minimal trip
-    (a later one spans a strictly containing interval), so one candidate
-    per (a, t1, c) is tested for stream-level minimality: the earliest
-    arrival a->c departing at t1 or later must be exactly t2, and
-    departing strictly after t1 must arrive strictly after t2. Trips with
-    a == c are not trips of this analysis and are skipped.
+    A two-hop minimal trip (a, c, t1, t2) yields one transition per
+    middle node b with events (a, b, t1) and (b, c, t2): the candidates
+    are the out-events of a at t1, kept when b is an in-neighbor of c at
+    t2.
     """
     t, s, d = _sym_events(stream)
-    # in-events per node: sorted by (dst, t)
-    in_order = np.lexsort((t, d))
-    in_dst = d[in_order]
-    in_src = s[in_order]
-    in_t = t[in_order]
-    in_nodes, in_starts = np.unique(in_dst, return_index=True)
-    in_starts = np.append(in_starts, in_dst.size)
-    # out-event times per (src, dst) pair: sorted by (src, dst, t)
-    out_order = np.lexsort((t, d, s))
-    out_src = s[out_order]
-    out_dst = d[out_order]
-    out_t = t[out_order]
-    pair_change = np.ones(out_src.size, dtype=bool)
-    pair_change[1:] = (out_src[1:] != out_src[:-1]) | (out_dst[1:] != out_dst[:-1])
-    pair_starts = np.append(np.nonzero(pair_change)[0], out_src.size)
-
-    cand_a, cand_b, cand_c, cand_t1, cand_t2 = [], [], [], [], []
-    in_pos = {int(n): i for i, n in enumerate(in_nodes)}
-    for p in range(pair_starts.size - 1):
-        lo, hi = pair_starts[p], pair_starts[p + 1]
-        b = int(out_src[lo])
-        c = int(out_dst[lo])
-        ip = in_pos.get(b)
-        if ip is None:
-            continue
-        ilo, ihi = in_starts[ip], in_starts[ip + 1]
-        a_arr = in_src[ilo:ihi]
-        t1_arr = in_t[ilo:ihi]
-        times_c = out_t[lo:hi]
-        idx = np.searchsorted(times_c, t1_arr, side="right")
-        ok = (idx < times_c.size) & (a_arr != c)
-        if not ok.any():
-            continue
-        cand_a.append(a_arr[ok])
-        cand_t1.append(t1_arr[ok])
-        cand_t2.append(times_c[idx[ok]])
-        cand_b.append(np.full(int(ok.sum()), b, dtype=np.int64))
-        cand_c.append(np.full(int(ok.sum()), c, dtype=np.int64))
-
-    if not cand_a:
-        empty = np.empty(0, dtype=np.int64)
-        return TransitionSet(empty, empty, empty, empty, empty)
-
-    a = np.concatenate(cand_a)
-    b = np.concatenate(cand_b)
-    c = np.concatenate(cand_c)
-    t1 = np.concatenate(cand_t1)
-    t2 = np.concatenate(cand_t2)
-
-    order = np.lexsort((-t1, c))
-    a, b, c, t1, t2 = a[order], b[order], c[order], t1[order], t2[order]
-    grp_dest, grp_start = np.unique(c, return_index=True)
-    grp_start = np.append(grp_start, c.size)
-    ok = _kernels.transition_checks(t, s, d, a, t1, t2, grp_dest, grp_start,
-                                    stream.node_count)
+    h = stream.horizon
+    n = stream.node_count
+    # out-events grouped by (source, instant), targets ascending inside
+    out_key = s * h + t
+    order = np.argsort(out_key, kind="stable")
+    out_key, out_dst = out_key[order], d[order]
+    lo = np.searchsorted(out_key, a * h + t1, side="left")
+    cnt = np.searchsorted(out_key, a * h + t1, side="right") - lo
+    first = np.cumsum(cnt) - cnt
+    trip = np.repeat(np.arange(a.size), cnt)
+    b = out_dst[np.repeat(lo - first, cnt) + np.arange(trip.size)]
+    a, c, t1, t2 = a[trip], c[trip], t1[trip], t2[trip]
+    # in-events as (rank of (target, instant), source) keys; the last hop
+    # of every trip is an event into c at t2, so its rank is found
+    groups, group_of = np.unique(d * h + t, return_inverse=True)
+    in_key = np.sort(group_of * n + s)
+    ok = _contains(in_key, np.searchsorted(groups, c * h + t2) * n + b)
     a, b, c, t1, t2 = a[ok], b[ok], c[ok], t1[ok], t2[ok]
     order = np.lexsort((t2, t1, c, b, a))
     return TransitionSet(a[order], b[order], c[order], t1[order], t2[order])
+
+
+class _PairTrips:
+    """Minimal trips of chosen pairs, in instants, by pair then departure.
+
+    A pair's minimal trips form an antichain: departures and arrivals
+    both increase strictly. The trips inside an absolute window are
+    therefore one slice, found by two binary searches.
+    """
+
+    def __init__(self, u, v, dep, arr, node_count, horizon):
+        self._n = node_count
+        self._span = horizon + 1
+        key = u * node_count + v
+        order = np.lexsort((dep, key))
+        self.pairs, rank = np.unique(key[order], return_inverse=True)
+        dep, arr = dep[order], arr[order]
+        self._dep_key = rank * self._span + dep
+        self._arr_key = rank * self._span + arr
+        self._duration = arr - dep
+
+    def window_durations(self, u, v, t_lo, t_hi):
+        """Shortest t_arr - t_dep of a minimal trip u -> v with
+        t_lo <= t_dep and t_arr <= t_hi, per query; -1 when there is none."""
+        key = u * self._n + v
+        base = np.searchsorted(self.pairs, key) * self._span
+        lo = np.searchsorted(self._dep_key, base + t_lo, side="left")
+        hi = np.searchsorted(self._arr_key, base + t_hi, side="right")
+        ok = _contains(self.pairs, key) & (lo < hi)
+        out = np.full(u.size, -1, dtype=np.int64)
+        out[ok] = _range_min(self._duration, lo[ok], hi[ok])
+        return out
+
+
+def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
+    """One DP pass over the stream at instant resolution.
+
+    Returns (transitions, two-hop trip count, _PairTrips): the two-hop
+    minimal trips expanded into shortest transitions when ``transitions``
+    is set (every destination is swept, None otherwise), and the minimal
+    trips of the pairs u*n + v in ``pair_keys`` (only their destinations
+    are swept otherwise).
+    """
+    n = stream.node_count
+    pair_keys = np.unique(np.asarray(pair_keys, dtype=np.int64))
+    sources = np.zeros(n, dtype=bool)
+    sources[pair_keys // n] = True
+    hop2, kept = [], []
+
+    def sink(u, v_nodes, dep, arrs, hops):
+        if transitions:
+            two = hops == 2
+            if two.any():
+                hop2.append((u, dep, v_nodes[two], arrs[two]))
+        if sources[u]:
+            hit = _contains(pair_keys, u * n + v_nodes)
+            if hit.any():
+                kept.append((u, dep, v_nodes[hit], arrs[hit]))
+
+    if transitions or pair_keys.size:
+        scan_minimal_trips(aggregate(stream, stream.horizon), sink,
+                           None if transitions else pair_keys % n)
+    # series snapshot k holds instant k - 1
+    a, c, k1, k2 = _flatten(hop2)
+    found = (_expand_transitions(stream, a, c, k1 - 1, k2 - 1)
+             if transitions else None)
+    u, v, dep, arr = _flatten(kept)
+    return found, int(a.size), _PairTrips(u, v, dep - 1, arr - 1, n,
+                                          stream.horizon)
+
+
+def enumerate_shortest_transitions(stream):
+    """All shortest transitions ((a,b,t1),(b,c,t2)) of the stream.
+
+    A shortest transition is a two-hop minimal trip (a, c, t1, t2) of
+    the stream together with a middle node b realizing it; trips with
+    a == c are not trips of this analysis. The minimal trips come from
+    one DP pass over the stream at instant resolution, whose hop count
+    is 2 exactly for the trips realized by two events.
+    """
+    return _stream_pass(stream)[0]
 
 
 def lost_fraction(stream, K, transitions=None):
@@ -153,6 +241,8 @@ _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _M3 = np.uint64(0x165667B19E3779F9)
 _M4 = np.uint64(0x27D4EB2F165667C5)
+# sink batches are hashed and filtered this many trips at a time
+_SAMPLER_BATCH = 1 << 16
 
 
 def _mix64(x):
@@ -161,49 +251,84 @@ def _mix64(x):
     return x ^ (x >> np.uint64(31))
 
 
+def _sample_threshold(max_samples, eligible):
+    """Hash threshold keeping about ``max_samples`` of ``eligible`` trips;
+    None keeps them all. Non-increasing in ``eligible``."""
+    if eligible <= max_samples:
+        return None
+    return min(2**64 - 1, int(max_samples / eligible * 2.0**64))
+
+
 class _TripSampler:
     """Order-independent seeded subsample of eligible minimal trips.
 
-    A trip is kept when a hash of its identity falls under a threshold,
-    so the sample does not depend on the emission order of the sweep
-    (and hence not on the thread layout).
+    A trip is eligible when it spans more than one snapshot, and is kept
+    when a hash of its identity falls under the threshold of the final
+    eligible count, so the sample does not depend on the emission order
+    of the sweep. Until that count is known, trips are filtered by the
+    threshold of the count so far, which only falls as the count grows:
+    nothing of the final sample is dropped, and about 2*max_samples
+    trips are held at most. ``finish`` sets ``trips`` (u, v, dep, arr),
+    sorted, and ``sampled``.
     """
 
-    def __init__(self, threshold, seed):
-        self.threshold = None if threshold is None else np.uint64(threshold)
+    def __init__(self, max_samples, seed):
+        self.max_samples = int(max_samples)
+        if self.max_samples < 0:
+            raise ValueError("max_samples must be >= 0")
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self.chunks = []
+        self.eligible = 0
+        self._batches = []
+        self._batched = 0
+        self._kept = (_EMPTY,) * 4
+        self._hash = np.empty(0, dtype=np.uint64)
 
     def __call__(self, u, v_nodes, dep, arrs, hops):
-        eligible = arrs > dep
-        if not eligible.any():
-            return
-        v = v_nodes[eligible]
-        arr = arrs[eligible]
-        if self.threshold is not None:
-            with np.errstate(over="ignore"):  # wraparound is the hash
-                key = (np.uint64(u) * _M1
-                       ^ v.astype(np.uint64) * _M2
-                       ^ np.uint64(dep) * _M3
-                       ^ arr.astype(np.uint64) * _M4)
-                keep = _mix64(key ^ self.seed) < self.threshold
-            v = v[keep]
-            arr = arr[keep]
-        if v.size:
-            self.chunks.append((np.full(v.size, u, dtype=np.int64),
-                                v.astype(np.int64), np.full(v.size, dep,
-                                                            dtype=np.int64),
-                                arr.astype(np.int64)))
+        self._batches.append((u, dep, v_nodes, arrs))
+        self._batched += arrs.size
+        if self._batched >= _SAMPLER_BATCH:
+            self._flush()
 
-    def trips(self):
-        if not self.chunks:
-            return (np.empty(0, dtype=np.int64),) * 4
-        u = np.concatenate([c[0] for c in self.chunks])
-        v = np.concatenate([c[1] for c in self.chunks])
-        dep = np.concatenate([c[2] for c in self.chunks])
-        arr = np.concatenate([c[3] for c in self.chunks])
-        order = np.lexsort((arr, dep, v, u))
-        return u[order], v[order], dep[order], arr[order]
+    def _flush(self):
+        u, v, dep, arr = _flatten(self._batches)
+        self._batches = []
+        self._batched = 0
+        eligible = arr > dep
+        u, v, dep, arr = u[eligible], v[eligible], dep[eligible], arr[eligible]
+        self.eligible += int(u.size)
+        with np.errstate(over="ignore"):  # wraparound is the hash
+            key = (u.astype(np.uint64) * _M1
+                   ^ v.astype(np.uint64) * _M2
+                   ^ dep.astype(np.uint64) * _M3
+                   ^ arr.astype(np.uint64) * _M4)
+            hashed = _mix64(key ^ self.seed)
+        self._kept = tuple(np.concatenate([old, new]) for old, new
+                           in zip(self._kept, (u, v, dep, arr)))
+        self._hash = np.concatenate([self._hash, hashed])
+        if self._hash.size > 2 * self.max_samples:
+            self._keep_below(_sample_threshold(self.max_samples, self.eligible))
+
+    def _keep_below(self, threshold):
+        if threshold is not None:
+            keep = self._hash < np.uint64(threshold)
+            self._kept = tuple(x[keep] for x in self._kept)
+            self._hash = self._hash[keep]
+
+    def finish(self):
+        self._flush()
+        threshold = _sample_threshold(self.max_samples, self.eligible)
+        self._keep_below(threshold)
+        order = np.lexsort(self._kept[::-1])
+        self.trips = tuple(x[order] for x in self._kept)
+        self.sampled = threshold is not None
+        return self
+
+
+def _sample_trips(series, max_samples, seed):
+    """The finished sampler of a series' eligible trips, from one DP run."""
+    sampler = _TripSampler(max_samples, seed)
+    minimal_trip_sweep(series, trip_sink=sampler)
+    return sampler.finish()
 
 
 @dataclass
@@ -224,42 +349,15 @@ class LossReport:
     elongation_samples: int
 
 
-def mean_elongation(stream, series, *, max_samples=100_000,
-                    full_enumeration_below=1_000_000, seed=0, threads=1,
-                    distribution=None):
-    """Mean elongation factor of the series' minimal trips.
-
-    For a minimal trip (u, v, t_u, t_v) of the series with t_u != t_v,
-    the factor is (t_v - t_u + 1)*delta divided by the fastest stream
-    realization u -> v whose departure and arrival both lie in the
-    absolute window [(t_u-1)*delta, t_v*delta). Every factor is checked
-    to be >= 1 in exact arithmetic. When more than
-    ``full_enumeration_below`` trips are eligible, a seeded
-    order-independent subsample of about ``max_samples`` trips is scored
-    instead (flagged in the result).
-    """
-    if distribution is None:
-        distribution, _ = minimal_trip_sweep(series, threads=threads)
-    eligible = distribution.count_where_duration_at_least(2)
-    if eligible == 0:
-        return ElongationResult(float("nan"), 0, 0, False)
-    if eligible <= full_enumeration_below or max_samples >= eligible:
-        threshold = None
-    else:
-        threshold = min(2**64 - 1, int(max_samples / eligible * 2.0**64))
-    sampler = _TripSampler(threshold, seed)
-    minimal_trip_sweep(series, threads=threads, trip_sink=sampler)
-    u, v, dep, arr = sampler.trips()
+def _elongation(stream, K, sample, pair_trips):
+    """Mean elongation factor of the sampled trips of the series at K."""
+    u, v, dep, arr = sample.trips
     if u.size == 0:
-        return ElongationResult(float("nan"), 0, eligible, threshold is not None)
-
+        return ElongationResult(float("nan"), 0, sample.eligible, sample.sampled)
     h = stream.horizon
-    K = series.snapshot_count
     win_lo = -((-(dep - 1) * h) // K)          # ceil((dep-1)*h/K)
     win_hi = -((-arr * h) // K) - 1            # last instant before arr*h/K
-    t, s, d = _sym_events(stream)
-    durations = _kernels.window_min_durations(
-        t, s, d, u, v, win_lo, win_hi, stream.node_count)
+    durations = pair_trips.window_durations(u, v, win_lo, win_hi)
     if np.any(durations < 1):
         raise AssertionError("series minimal trip without a stream realization "
                              "in its absolute window")
@@ -268,5 +366,64 @@ def mean_elongation(stream, series, *, max_samples=100_000,
     if np.any(span * h < K * durations):
         raise AssertionError("elongation factor below 1")
     factors = span * h / (K * durations.astype(np.float64))
-    return ElongationResult(float(factors.mean()), int(u.size), eligible,
-                            threshold is not None)
+    return ElongationResult(float(factors.mean()), int(u.size), sample.eligible,
+                            sample.sampled)
+
+
+def mean_elongation(stream, series, *, max_samples=100_000, seed=0, threads=1):
+    """Mean elongation factor of the series' minimal trips.
+
+    For a minimal trip (u, v, t_u, t_v) of the series with t_u != t_v,
+    the factor is (t_v - t_u + 1)*delta divided by the fastest stream
+    realization u -> v whose departure and arrival both lie in the
+    absolute window [(t_u-1)*delta, t_v*delta). Every factor is checked
+    to be >= 1 in exact arithmetic. When more than ``max_samples`` trips
+    are eligible, a seeded order-independent subsample of about
+    ``max_samples`` trips is scored instead (flagged in the result).
+    ``threads`` changes nothing: trip sinks run on the numpy engine,
+    which sweeps its column blocks one after another.
+    """
+    sample = _sample_trips(series, max_samples, seed)
+    u, v = sample.trips[:2]
+    _, _, pair_trips = _stream_pass(stream, u * stream.node_count + v,
+                                    transitions=False)
+    return _elongation(stream, series.snapshot_count, sample, pair_trips)
+
+
+def run_validation(stream, ks, *, max_samples=100_000, seed=0, log=None):
+    """Loss reports at each window count in ``ks``.
+
+    Runs one series DP per K, which samples the trips to score, then one
+    stream pass shared by all K for the transitions and the fastest
+    realizations. ``log``, when given, receives one progress line per DP.
+    """
+    log = log or (lambda msg: None)
+    n = stream.node_count
+    samples = []
+    for K in ks:
+        start = time.perf_counter()
+        series = aggregate(stream, K)
+        sample = _sample_trips(series, max_samples, seed)
+        samples.append((int(K), series.delta_seconds, sample))
+        log(f"K={K}: series DP {time.perf_counter() - start:.2f}s, "
+            f"{sample.eligible} eligible trips, {sample.trips[0].size} scored"
+            + (" (subsample)" if sample.sampled else ""))
+    start = time.perf_counter()
+    pair_keys = np.concatenate(
+        [_EMPTY] + [s.trips[0] * n + s.trips[1] for _, _, s in samples])
+    transitions, hop2, pair_trips = _stream_pass(stream, pair_keys)
+    log(f"stream pass {time.perf_counter() - start:.2f}s: {hop2} two-hop "
+        f"trips, {len(transitions)} shortest transitions, "
+        f"{pair_trips.pairs.size} indexed pairs")
+    rows = []
+    for K, delta_seconds, sample in samples:
+        elong = _elongation(stream, K, sample, pair_trips)
+        rows.append(LossReport(
+            snapshot_count=K,
+            delta_seconds=delta_seconds,
+            total_shortest_transitions=len(transitions),
+            lost_fraction=lost_fraction(stream, K, transitions),
+            mean_elongation=elong.mean,
+            elongation_samples=elong.samples,
+        ))
+    return rows

@@ -201,3 +201,53 @@ def stream_shortest_transitions(events, directed):
             if (a, c, t1, t2) in minimal:
                 out.add((a, b, c, t1, t2))
     return out
+
+
+def stream_earliest_arrival(stream, u, window, v):
+    """Fastest trip from u to v inside a time window of the raw stream.
+
+    Scans the window's events backward over distinct timestamps (links at
+    equal times cannot chain) and returns the (t_dep, t_arr) pair of a
+    stream minimal trip with the smallest duration t_arr - t_dep, with
+    both endpoints inside [t_lo, t_hi]; ties resolve to the earliest
+    departure. Returns None when no such trip exists.
+    """
+    u = int(u)
+    v = int(v)
+    if u == v:
+        raise ValueError("u and v must differ")
+    t_lo, t_hi = int(window[0]), int(window[1])
+    if t_lo > t_hi:
+        raise ValueError("empty window")
+    ts = stream.t
+    lo = int(np.searchsorted(ts, t_lo, side="left"))
+    hi = int(np.searchsorted(ts, t_hi, side="right"))
+    if stream.directed:
+        events = [(int(ts[i]), int(stream.u[i]), int(stream.v[i]))
+                  for i in range(lo, hi)]
+    else:
+        events = []
+        for i in range(lo, hi):
+            t, a, b = int(ts[i]), int(stream.u[i]), int(stream.v[i])
+            events.append((t, a, b))
+            events.append((t, b, a))
+
+    arrival = {}
+    best = None
+    i = len(events) - 1
+    while i >= 0:
+        t = events[i][0]
+        group_updates = {}
+        while i >= 0 and events[i][0] == t:
+            _, x, y = events[i]
+            arr = t if y == v else arrival.get(y)
+            if arr is not None:
+                if x == u and (best is None or arr - t < best[1] - best[0]
+                               or (arr - t == best[1] - best[0] and t < best[0])):
+                    best = (t, arr)
+                prev = group_updates.get(x, arrival.get(x))
+                if prev is None or arr < prev:
+                    group_updates[x] = arr
+            i -= 1
+        arrival.update(group_updates)
+    return best

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from streamscale.cli import main
+from streamscale.stream import write_tsv
+from streamscale.synth import UniformSpec, gen_uniform
 
 
 def run(capsys, *argv):
@@ -146,6 +148,28 @@ def test_validate_at_gamma(tmp_path, capsys):
                        "--grid", "log:4")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def test_validate_max_samples_subsamples(tmp_path, capsys):
+    # the time-uniform stream of criterion 3 at 5 links per pair: a few
+    # hundred trips are eligible at K=6, and --max-samples 10 scores a
+    # sample of them instead of all
+    stream = gen_uniform(UniformSpec(node_count=30, links_per_pair=5,
+                                     horizon=20000, seed=1))
+    f = tmp_path / "uniform.tsv"
+    with open(f, "w", encoding="utf-8") as fh:
+        write_tsv(stream, fh)
+
+    def scored(max_samples):
+        code, out, err = run(capsys, "validate", "--input", str(f),
+                             "--k-list", "6", "--max-samples", max_samples)
+        assert code == 0
+        return int(out.strip().splitlines()[1].split(",")[4]), err
+
+    everything, err = scored("100000")
+    assert everything > 100 and "subsample" not in err
+    sample, err = scored("10")
+    assert 1 <= sample <= 40 and "subsample" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,0 +1,125 @@
+"""Property tests of the validation fast paths against brute-force references.
+
+Hypothesis draws small streams and queries that the fixed seeds of the
+other tests do not cover; every example is checked against the oracles.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from streamscale import validate  # noqa: E402
+from streamscale.stream import LinkStream  # noqa: E402
+from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
+                                  enumerate_shortest_transitions)
+
+from oracles import (stream_earliest_arrival,  # noqa: E402
+                     stream_shortest_transitions)
+
+HORIZON = 15
+MASK = (1 << 64) - 1
+
+
+@st.composite
+def streams(draw, max_n=6, max_events=18):
+    """(stream, events, directed) of a small stream with dense node ids."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, max_n))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.integers(0, HORIZON - 1)),
+                        min_size=1, max_size=max_events))
+    events = set()
+    for u, v, t in raw:
+        if u == v:
+            continue
+        if not directed:
+            u, v = min(u, v), max(u, v)
+        events.add((u, v, t))
+    if not events:
+        events = {(0, 1, 0)}
+    labels = sorted({u for u, _, _ in events} | {v for _, v, _ in events})
+    remap = {lab: i for i, lab in enumerate(labels)}
+    events = sorted((remap[u], remap[v], t) for u, v, t in events)
+    stream = LinkStream.from_events(events, directed=directed,
+                                    labels=[str(i) for i in range(len(labels))],
+                                    horizon=HORIZON, normalize_times=False)
+    return stream, events, directed
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams())
+def test_transitions_match_brute_force_property(case):
+    stream, events, directed = case
+    got = enumerate_shortest_transitions(stream).as_tuples()
+    assert got == stream_shortest_transitions(events, directed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams(), st.data())
+def test_window_durations_match_oracle_property(case, data):
+    stream, _, _ = case
+    n = stream.node_count
+    node = st.integers(0, n - 1)
+    instant = st.integers(0, HORIZON - 1)
+    queries = data.draw(st.lists(
+        st.tuples(node, node, instant, instant).filter(lambda q: q[0] != q[1]),
+        min_size=1, max_size=8))
+    q = np.array([(u, v, min(a, b), max(a, b)) for u, v, a, b in queries],
+                 dtype=np.int64)
+    # all columns (as in the shared pass) or only the queried destinations
+    trips = _stream_pass(stream, q[:, 0] * n + q[:, 1],
+                         transitions=data.draw(st.booleans()))[2]
+    got = trips.window_durations(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
+    for (u, v, lo, hi), dur in zip(q.tolist(), got.tolist()):
+        ref = stream_earliest_arrival(stream, u, (lo, hi), v)
+        assert dur == (-1 if ref is None else ref[1] - ref[0])
+
+
+def _reference_hash(u, v, dep, arr, seed):
+    """The sampler's trip hash, in Python integers."""
+    x = ((u * 0x9E3779B97F4A7C15) ^ (v * 0xC2B2AE3D27D4EB4F)
+         ^ (dep * 0x165667B19E3779F9) ^ (arr * 0x27D4EB2F165667C5)) & MASK
+    x ^= seed & MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+
+def _two_pass_sample(trips, max_samples, seed):
+    """Count the eligible trips, then keep those under the final threshold."""
+    eligible = sorted(t for t in trips if t[3] > t[2])
+    if len(eligible) <= max_samples:
+        return eligible, len(eligible), False
+    threshold = min(2**64 - 1, int(max_samples / len(eligible) * 2.0**64))
+    kept = [t for t in eligible if _reference_hash(*t, seed) < threshold]
+    return kept, len(eligible), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 19), st.integers(0, 19),
+                         st.integers(1, 30), st.integers(0, 5)),
+               max_size=80),
+       st.integers(0, 12), st.integers(0, 2**64 - 1), st.integers(1, 8),
+       st.data())
+def test_one_pass_sampler_matches_two_pass_reference(raw, max_samples, seed,
+                                                      batch, data):
+    trips = {(u, v, dep, dep + extra) for u, v, dep, extra in raw if u != v}
+    # the DP hands over trips of one source and one departure per call
+    calls = {}
+    for u, v, dep, arr in trips:
+        calls.setdefault((u, dep), []).append((v, arr))
+    order = data.draw(st.permutations(sorted(calls)))
+    sampler = _TripSampler(max_samples, seed)
+    with mock.patch.object(validate, "_SAMPLER_BATCH", batch):
+        for u, dep in order:
+            v, arr = zip(*calls[(u, dep)])
+            sampler(u, np.array(v, dtype=np.int64), dep,
+                    np.array(arr, dtype=np.int64), None)
+        got = sampler.finish()
+    want, eligible, sampled = _two_pass_sample(trips, max_samples, seed)
+    assert list(zip(*(x.tolist() for x in got.trips))) == want
+    assert (got.eligible, got.sampled) == (eligible, sampled)

@@ -3,13 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from streamscale import reach
 from streamscale.aggregate import GraphSeries, aggregate
 from streamscale.reach import (OccupancyDistribution, minimal_trip_sweep,
-                               occupancy_rate, stream_earliest_arrival)
+                               occupancy_rate, scan_minimal_trips)
 from streamscale.stream import LinkStream
 
 from conftest import collect_trips, random_series, random_stream
-from oracles import series_distance_sums, series_minimal_trips
+from oracles import (series_distance_sums, series_minimal_trips,
+                     stream_earliest_arrival)
 
 
 def test_single_edge_mid_series():
@@ -108,6 +110,45 @@ def test_result_independent_of_threads():
     assert d1 == d4
     assert (a1.sum_d_time, a1.sum_d_hops, a1.finite_triples) == \
         (a4.sum_d_time, a4.sum_d_hops, a4.finite_triples)
+
+
+def test_column_blocks_merge_exactly(monkeypatch):
+    # the numpy engine splits columns only by its memory budget; shrink
+    # the budget so that every series runs in at least three blocks
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(30):
+        series, _, n, _, _ = random_series(rng, max_n=9, max_k=8, max_edges=20)
+        if n < 5:
+            continue
+        whole = collect_trips(series)
+        with monkeypatch.context() as m:
+            m.setattr(reach, "_MAX_STATE_ELEMENTS", 2 * n)
+            assert len(reach._column_blocks(n, np.arange(n), 1, "numpy")) >= 3
+            split = collect_trips(series)
+        assert split[0] == whole[0]
+        assert split[1] == whole[1]
+        assert (split[2].sum_d_time, split[2].sum_d_hops,
+                split[2].finite_triples) == \
+            (whole[2].sum_d_time, whole[2].sum_d_hops, whole[2].finite_triples)
+        checked += 1
+    assert checked >= 10
+
+
+def test_scan_emits_the_sweep_trips():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        series, _, n, _, _ = random_series(rng, max_edges=16)
+        sinks = sorted({int(x) for x in rng.integers(0, n, size=2)})
+        want, _, _ = collect_trips(series, sinks=sinks)
+        got = set()
+
+        def sink(u, vs, dep, arrs, hops):
+            got.update((u, v, dep, a, h) for v, a, h in
+                       zip(vs.tolist(), arrs.tolist(), hops.tolist()))
+
+        scan_minimal_trips(series, sink, sinks=sinks)
+        assert got == want
 
 
 def test_symmetric_directed_equals_undirected():

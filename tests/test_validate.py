@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from streamscale import _kernels
 from streamscale.aggregate import aggregate
-from streamscale.reach import stream_earliest_arrival
 from streamscale.stream import LinkStream
 from streamscale.validate import (enumerate_shortest_transitions, lost_fraction,
-                                  mean_elongation, _sym_events)
+                                  mean_elongation, _stream_pass)
 
 from conftest import random_stream
-from oracles import stream_minimal_trips, stream_shortest_transitions
+from oracles import stream_earliest_arrival, stream_shortest_transitions
 
 
 def _stream(events, horizon, directed=True):
@@ -124,40 +122,23 @@ def test_elongation_sampling_is_thread_and_order_independent():
     stream = LinkStream.from_events(events, directed=True, horizon=300,
                                     normalize_times=False)
     series = aggregate(stream, 10)
-    kw = dict(full_enumeration_below=0, max_samples=25, seed=3)
+    kw = dict(max_samples=25, seed=3)
     r1 = mean_elongation(stream, series, threads=1, **kw)
     r2 = mean_elongation(stream, series, threads=4, **kw)
     assert r1.sampled and r2.sampled
     assert r1.samples == r2.samples
     assert r1.mean == r2.mean
     # a different seed draws a different subsample
-    r3 = mean_elongation(stream, series, threads=1,
-                         full_enumeration_below=0, max_samples=25, seed=4)
+    r3 = mean_elongation(stream, series, threads=1, max_samples=25, seed=4)
     assert r3.samples != r1.samples or r3.mean != r1.mean
 
 
-def test_kernels_match_their_python_fallbacks():
-    # without numba the same functions run undecorated; check both ways
-    # of executing them agree
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba absent: the fallback is already what runs")
-    rng = np.random.default_rng(8)
-    stream, events, directed = random_stream(rng, max_events=18)
-    t, s, d = _sym_events(stream)
-    q = np.array([[0, 1, 0, stream.horizon - 1],
-                  [1, 0, 2, stream.horizon - 1]], dtype=np.int64)
-    jitted = _kernels.window_min_durations(t, s, d, q[:, 0], q[:, 1], q[:, 2],
-                                           q[:, 3], stream.node_count)
-    plain = _kernels.window_min_durations.py_func(
-        t, s, d, q[:, 0], q[:, 1], q[:, 2], q[:, 3], stream.node_count)
-    assert jitted.tolist() == plain.tolist()
-
-
-def test_window_kernel_matches_scalar_query():
+def test_window_durations_match_scalar_query():
+    # the fastest realization inside a window is a range minimum over the
+    # pair's minimal trips of the stream pass
     rng = np.random.default_rng(55)
-    for _ in range(50):
+    for _ in range(60):
         stream, events, directed = random_stream(rng, max_events=16)
-        t, s, d = _sym_events(stream)
         qs = []
         for _ in range(10):
             u = int(rng.integers(0, stream.node_count))
@@ -170,9 +151,9 @@ def test_window_kernel_matches_scalar_query():
         if not qs:
             continue
         q = np.array(qs, dtype=np.int64)
-        durs = _kernels.window_min_durations(t, s, d, q[:, 0], q[:, 1],
-                                             q[:, 2], q[:, 3],
-                                             stream.node_count)
+        trips = _stream_pass(stream, q[:, 0] * stream.node_count + q[:, 1],
+                             transitions=False)[2]
+        durs = trips.window_durations(q[:, 0], q[:, 1], q[:, 2], q[:, 3])
         for (u, v, lo, hi), dur in zip(qs, durs.tolist()):
             ref = stream_earliest_arrival(stream, u, (lo, hi), v)
             if ref is None:
