@@ -19,7 +19,7 @@ for K in (4, 2, 1):
         for v, a, h in zip(vs, arrs, hops):
             trips.append((stream.labels[u], stream.labels[v], dep, int(a), int(h)))
 
-    dist, agg = minimal_trip_sweep(series, trip_sink=sink, engine="numpy")
+    dist, agg = minimal_trip_sweep(series, trip_sink=sink)
     print(f"\nK={K} (window length {series.delta_seconds:g}s)")
     for u, v, dep, arr, hops in sorted(trips):
         dur = arr - dep + 1

@@ -33,14 +33,14 @@ s = stream_summary(stream)
 print(f"{stream}: {s.activity_per_person_day:.2f} messages/person/day "
       f"over {s.horizon_days:.1f} days")
 
-report = run_sweep(stream, points=40, threads=4)
+report = run_sweep(stream, points=40)
 for metric, g in sorted(report.gamma.items()):
     print(f"  gamma[{metric:<10}] = {g['delta_s'] / 3600:.1f} h")
 
 k_gamma = report.gamma["mk"]["K"]
 transitions = enumerate_shortest_transitions(stream)
 lost = lost_fraction(stream, k_gamma, transitions)
-elong = mean_elongation(stream, aggregate(stream, k_gamma), threads=4)
+elong = mean_elongation(stream, aggregate(stream, k_gamma))
 print(f"at gamma: {lost:.0%} of shortest transitions lost, "
       f"mean elongation {elong.mean:.2f} "
       f"({elong.samples} trips{' sampled' if elong.sampled else ''})")

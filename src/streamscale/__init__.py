@@ -14,8 +14,8 @@ from .aggregate import GraphSeries, DeltaGrid, aggregate, delta_grid
 from .reach import (OccupancyDistribution, DistanceAggregates, occupancy_rate,
                     minimal_trip_sweep)
 from .metrics import (icd, icd_points, mk_distance, mk_proximity, std_dev,
-                      variation_coeff, shannon_entropy, cre, MetricCurve,
-                      select_gamma, compute_metrics)
+                      variation_coeff, shannon_entropy, cre, select_gamma,
+                      compute_metrics)
 from .classic import ClassicStats, snapshot_stats, distance_stats, classic_stats
 from .validate import (TransitionSet, ElongationResult, LossReport,
                        enumerate_shortest_transitions, lost_fraction,
@@ -32,8 +32,8 @@ __all__ = [
     "OccupancyDistribution", "DistanceAggregates", "occupancy_rate",
     "minimal_trip_sweep",
     "icd", "icd_points", "mk_distance", "mk_proximity", "std_dev",
-    "variation_coeff", "shannon_entropy", "cre", "MetricCurve",
-    "select_gamma", "compute_metrics",
+    "variation_coeff", "shannon_entropy", "cre", "select_gamma",
+    "compute_metrics",
     "ClassicStats", "snapshot_stats", "distance_stats", "classic_stats",
     "TransitionSet", "ElongationResult", "LossReport",
     "enumerate_shortest_transitions", "lost_fraction", "mean_elongation",

@@ -89,7 +89,7 @@ def snapshot_stats(series):
             sum_non_isolated / K)
 
 
-def distance_stats(series, *, threads=1, aggregates=None):
+def distance_stats(series, *, aggregates=None):
     """Mean temporal distances over all ordered pairs and departures.
 
     d_time(u, v, k) is the earliest arrival snapshot minus k plus one,
@@ -99,15 +99,14 @@ def distance_stats(series, *, threads=1, aggregates=None):
     to avoid recomputing.
     """
     if aggregates is None:
-        _, aggregates = minimal_trip_sweep(series, threads=threads)
+        _, aggregates = minimal_trip_sweep(series)
     return (aggregates.mean_d_time, aggregates.mean_d_hops,
             aggregates.mean_d_time_abs, aggregates.finite_pair_fraction)
 
 
-def classic_stats(series, *, threads=1, aggregates=None):
+def classic_stats(series, *, aggregates=None):
     """Bundle of :func:`snapshot_stats` and :func:`distance_stats`."""
     density, degree, cc, non_iso = snapshot_stats(series)
-    d_time, d_hops, d_abs, finite = distance_stats(
-        series, threads=threads, aggregates=aggregates)
+    d_time, d_hops, d_abs, finite = distance_stats(series, aggregates=aggregates)
     return ClassicStats(density, degree, cc, non_iso,
                         d_time, d_hops, d_abs, finite)

@@ -89,6 +89,11 @@ def _add_grid_opts(p):
     p.add_argument("--k-list", default=None, help="explicit window counts, e.g. 1,2,5")
 
 
+def _add_threads_opt(p):
+    p.add_argument("--threads", type=int, default=1,
+                   help="has no effect; accepted so existing command lines run")
+
+
 def build_parser():
     parser = _Parser(prog="streamscale",
                      description="saturation scale analysis of link streams")
@@ -100,7 +105,7 @@ def build_parser():
     p.add_argument("--metric", default="all",
                    help="mk|stddev|cv|shannon:<k>|cre|all (selection printed to stdout)")
     p.add_argument("--shannon-slots", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_opt(p)
     p.add_argument("--classic", action="store_true",
                    help="also compute per-snapshot baseline statistics")
     p.add_argument("--out-dir", default=".")
@@ -111,7 +116,7 @@ def build_parser():
     p.add_argument("--at-gamma", action="store_true",
                    help="run a sweep first and validate at the selected gamma")
     p.add_argument("--metric", default="mk")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_opt(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-samples", type=int, default=100_000)
     p.add_argument("--out", default="-")
@@ -119,13 +124,13 @@ def build_parser():
     p = sub.add_parser("distribution", help="ICD of occupancy rates at one window count")
     _add_input_opts(p)
     p.add_argument("--k", type=int, required=True, help="window count K")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_opt(p)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("classic", help="baseline statistics along the grid")
     _add_input_opts(p)
     _add_grid_opts(p)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_opt(p)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("summary", help="basic stream statistics")
@@ -170,10 +175,8 @@ def cmd_sweep(args):
     ks = _parse_grid(args, stream)
     t0 = time.time()
     report = run_sweep(stream, k_list=ks, classic=args.classic,
-                       threads=args.threads, shannon_slots=args.shannon_slots,
-                       input_info=info, log=_log)
-    _log(f"sweep of {len(ks)} grid points took {time.time() - t0:.1f}s "
-         f"with {args.threads} thread(s)")
+                       shannon_slots=args.shannon_slots, input_info=info, log=_log)
+    _log(f"sweep of {len(ks)} grid points took {time.time() - t0:.1f}s")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report), encoding="utf-8")
@@ -199,8 +202,7 @@ def cmd_sweep(args):
 def cmd_validate(args):
     stream, _ = _load_stream(args)
     if args.at_gamma:
-        report = run_sweep(stream, k_list=_parse_grid(args, stream),
-                           threads=args.threads, log=_log,
+        report = run_sweep(stream, k_list=_parse_grid(args, stream), log=_log,
                            shannon_slots=_shannon_slots_from_metric(args))
         metric = args.metric if args.metric != "all" else "mk"
         if metric not in report.gamma:
@@ -226,7 +228,7 @@ def cmd_validate(args):
 def cmd_distribution(args):
     stream, _ = _load_stream(args)
     series = aggregate(stream, args.k)
-    dist, _ = minimal_trip_sweep(series, threads=args.threads)
+    dist, _ = minimal_trip_sweep(series)
     lams, vals = icd_points(dist)
     fh, close = _out_stream(args.out)
     try:
@@ -240,8 +242,7 @@ def cmd_distribution(args):
 def cmd_classic(args):
     stream, info = _load_stream(args)
     ks = _parse_grid(args, stream)
-    report = run_sweep(stream, k_list=ks, classic=True, threads=args.threads,
-                       input_info=info, log=_log)
+    report = run_sweep(stream, k_list=ks, classic=True, input_info=info, log=_log)
     fh, close = _out_stream(args.out)
     try:
         write_classic_csv(report, fh)

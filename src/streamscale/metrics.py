@@ -11,7 +11,6 @@ the slot count is the metric's own parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "variation_coeff",
     "shannon_entropy",
     "cre",
-    "MetricCurve",
     "select_gamma",
     "compute_metrics",
     "METRIC_IDS",
@@ -153,26 +151,12 @@ def cre(dist):
     return float(-np.sum(widths[pos] * tails[pos] * np.log(tails[pos])))
 
 
-@dataclass
-class MetricCurve:
-    """Per-window-count scores of one selection metric along a grid."""
-
-    metric: str
-    entries: list  # (K, delta_seconds, score), any order
-
-    def argmax(self):
-        return select_gamma(self.entries)
-
-
 def select_gamma(entries):
     """Grid point (K, delta_seconds) maximizing the score.
 
-    ``entries`` are (K, delta_seconds, score) triples (a
-    :class:`MetricCurve` also works); exact score ties resolve toward the
-    smaller window length (larger K).
+    ``entries`` are (K, delta_seconds, score) triples; exact score ties
+    resolve toward the smaller window length (larger K).
     """
-    if hasattr(entries, "entries"):
-        entries = entries.entries
     entries = list(entries)
     if not entries:
         raise ValueError("empty metric curve")

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from . import _kernels
 
 __all__ = [
     "OccupancyDistribution",
@@ -90,13 +87,11 @@ class OccupancyDistribution:
         """
         dist = cls()
         if keys.size:
-            if np.issubdtype(counts.dtype, np.floating):
-                counts = np.rint(counts).astype(np.int64)
             dist._h = keys // mult
             dist._d = keys % mult
             if dist._d.max() >= 1 << 31 or dist._h.max() >= 1 << 31:
                 raise ValueError("hops/duration do not fit 31 bits")
-            dist._c = counts.astype(np.int64)
+            dist._c = counts
             dist.total = int(_exact_sum(dist._c))
         return dist
 
@@ -110,43 +105,20 @@ class OccupancyDistribution:
         h = np.concatenate([self._h, h])
         d = np.concatenate([self._d, d])
         c = np.concatenate([self._c, c])
-        packed = h * (np.int64(1) << 31) + d
-        uniq, inv = np.unique(packed, return_inverse=True)
-        merged = np.bincount(inv, weights=c.astype(np.float64))
-        self._h = uniq // (np.int64(1) << 31)
-        self._d = uniq % (np.int64(1) << 31)
-        self._c = np.rint(merged).astype(np.int64)
+        packed, self._c = _keyed_sum(h * (np.int64(1) << 31) + d, c)
+        self._h = packed // (np.int64(1) << 31)
+        self._d = packed % (np.int64(1) << 31)
 
     def arrays(self):
         """(hops, duration, count) arrays sorted by (hops, duration)."""
         self._normalize()
         return self._h, self._d, self._c
 
-    def merge(self, other):
-        h2, d2, c2 = other.arrays()
-        self._normalize()
-        self._pending = []
-        self._h = np.concatenate([self._h, h2])
-        self._d = np.concatenate([self._d, d2])
-        self._c = np.concatenate([self._c, c2])
-        self.total += other.total
-        # fold duplicates eagerly; arrays stay canonical
-        packed = self._h * (np.int64(1) << 31) + self._d
-        uniq, inv = np.unique(packed, return_inverse=True)
-        merged = np.bincount(inv, weights=self._c.astype(np.float64))
-        self._h = uniq // (np.int64(1) << 31)
-        self._d = uniq % (np.int64(1) << 31)
-        self._c = np.rint(merged).astype(np.int64)
-
     def items(self):
         """Sorted ((hops, duration), count) pairs; avoid on huge supports."""
         h, d, c = self.arrays()
         return [((int(hh), int(dd)), int(cc))
                 for hh, dd, cc in zip(h.tolist(), d.tolist(), c.tolist())]
-
-    def count_where_duration_at_least(self, dmin):
-        h, d, c = self.arrays()
-        return int(c[d >= dmin].sum())
 
     def support(self):
         """Distinct rates as sorted (Fraction, weight) pairs.
@@ -173,9 +145,7 @@ class OccupancyDistribution:
         g = np.gcd(h, d)
         p = h // g
         q = d // g
-        packed = (p << np.int64(31)) | q
-        uniq, inv = np.unique(packed, return_inverse=True)
-        w = np.bincount(inv, weights=c.astype(np.float64))
+        uniq, w = _keyed_sum((p << np.int64(31)) | q, c)
         p = uniq >> np.int64(31)
         q = uniq & np.int64((1 << 31) - 1)
         val = p / q
@@ -216,12 +186,6 @@ class DistanceAggregates:
     pair_count: int = 0
     snapshot_count: int = 0
     delta_seconds: float = 0.0
-
-    def merge(self, other):
-        self.sum_d_time += other.sum_d_time
-        self.sum_d_hops += other.sum_d_hops
-        self.finite_triples += other.finite_triples
-        self.pair_count += other.pair_count
 
     @property
     def mean_d_time(self):
@@ -290,20 +254,24 @@ class _EmissionBuffer:
     def result(self):
         """Combined (packed keys, counts) arrays."""
         self._flush()
-        return _combine_keyed_counts(self._partials)
+        return _keyed_sum(*_concat_pairs(self._partials))
 
 
-def _combine_keyed_counts(partials):
-    """Merge (keys, counts) pairs into one exact keyed count."""
-    partials = [p for p in partials if p[0].size]
-    if not partials:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    keys = np.concatenate([p[0] for p in partials])
-    counts = np.concatenate([p[1] for p in partials])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    merged = np.bincount(inv, weights=counts.astype(np.float64),
-                         minlength=uniq.size)
-    return uniq, np.rint(merged).astype(np.int64)
+def _concat_pairs(pairs):
+    """Concatenated (keys, counts) int64 arrays of (keys, counts) pairs."""
+    empty = np.empty(0, dtype=np.int64)
+    return (np.concatenate([empty] + [p[0] for p in pairs]),
+            np.concatenate([empty] + [p[1] for p in pairs]))
+
+
+def _keyed_sum(keys, counts):
+    """Distinct keys, sorted, with the exact int64 sum of each key's counts."""
+    if keys.size == 0:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first], np.add.reduceat(counts[order], first)
 
 
 def _sweep_columns(series, cols, trip_sink=None, summarize=True):
@@ -429,29 +397,10 @@ def _sweep_columns(series, cols, trip_sink=None, summarize=True):
     return keys, counts, sum_d_time, sum_d_hops, finite_triples
 
 
-def _kernel_columns(series, cols):
-    """Run the jitted per-destination sweep over one column block."""
-    keys, sum_dt, sum_dh, fin = _kernels.column_sweep(
-        series.node_count, series.snapshot_count,
-        series._s_snap.astype(np.int64), series._s_start.astype(np.int64),
-        series.su.astype(np.int64, copy=False),
-        series.sv.astype(np.int64, copy=False), cols)
-    uniq, cnt = np.unique(keys, return_counts=True)
-    sdt = sum(int(x) for x in sum_dt.tolist())
-    sdh = sum(int(x) for x in sum_dh.tolist())
-    return uniq, cnt.astype(np.int64), sdt, sdh, sum(int(x) for x in fin.tolist())
-
-
-def _column_blocks(n, cols, threads, engine):
-    """Destination blocks: one per thread for the numba engine; for the
-    numpy engine only as many as the state memory budget needs, since its
-    per-row loop holds the GIL and every extra block walks every snapshot
-    again."""
-    if engine == "numba":
-        blocks = max(1, threads)
-    else:
-        blocks = -(-cols.size // max(1, _MAX_STATE_ELEMENTS // n))
-    return np.array_split(cols, min(blocks, cols.size))
+def _column_blocks(n, cols):
+    """Destination blocks, as few as keep the DP state within
+    ``_MAX_STATE_ELEMENTS``: every extra block walks every snapshot again."""
+    return np.array_split(cols, -(-cols.size // max(1, _MAX_STATE_ELEMENTS // n)))
 
 
 def _sink_columns(n, sinks):
@@ -465,47 +414,22 @@ def _sink_columns(n, sinks):
     return cols
 
 
-def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
-                       engine="auto"):
+def minimal_trip_sweep(series, sinks=None, *, trip_sink=None):
     """All minimal trips of a series, as occupancy and distance aggregates.
 
     Runs the backward DP toward every destination in ``sinks`` (all nodes
     by default). Destination columns are independent, so they are swept
-    in blocks whose partials merge exactly, making the result independent
-    of the block/thread layout. The numba engine sweeps one block per
-    thread in parallel when ``threads`` > 1; the numpy engine splits only
-    to bound its state memory and runs its blocks one after another.
+    in blocks, split only to bound the state memory, whose partials merge
+    exactly: the result does not depend on the block layout.
     ``trip_sink(u, v_array, dep, arr_array, hops_array)``, when given,
     receives every emitted minimal trip.
-
-    ``engine`` picks the implementation: "numba" walks one destination
-    column at a time with O(n) state, "numpy" vectorizes rows over column
-    blocks; "auto" uses the jitted path when available except for
-    ``trip_sink`` runs, which need the vectorized emission batches. Both
-    produce identical results.
 
     Returns (OccupancyDistribution, DistanceAggregates).
     """
     n = series.node_count
     cols = _sink_columns(n, sinks)
-
-    if engine == "auto":
-        engine = "numba" if _kernels.HAVE_NUMBA and trip_sink is None else "numpy"
-    if engine == "numba" and trip_sink is not None:
-        raise ValueError("trip_sink requires the numpy engine")
-    if engine == "numba":
-        run = lambda b: _kernel_columns(series, b)
-    elif engine == "numpy":
-        run = lambda b: _sweep_columns(series, b, trip_sink=trip_sink)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    blocks = _column_blocks(n, cols, threads, engine)
-    if engine == "numba" and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
+    results = [_sweep_columns(series, b, trip_sink=trip_sink)
+               for b in _column_blocks(n, cols)]
 
     agg = DistanceAggregates(pair_count=int(cols.size) * (n - 1),
                              snapshot_count=series.snapshot_count,
@@ -514,7 +438,7 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
         agg.sum_d_time += sdt
         agg.sum_d_hops += sdh
         agg.finite_triples += fin
-    keys, counts = _combine_keyed_counts([(r[0], r[1]) for r in results])
+    keys, counts = _keyed_sum(*_concat_pairs([r[:2] for r in results]))
     dist = OccupancyDistribution._from_packed(keys, counts,
                                               series.snapshot_count + 1)
     return dist, agg
@@ -523,10 +447,10 @@ def minimal_trip_sweep(series, sinks=None, *, threads=1, trip_sink=None,
 def scan_minimal_trips(series, trip_sink, sinks=None):
     """Feed every minimal trip toward ``sinks`` to ``trip_sink``, keep nothing.
 
-    The numpy DP of :func:`minimal_trip_sweep` without its products: no
+    The DP of :func:`minimal_trip_sweep` without its products: no
     occupancy distribution and no distance sums, for callers that only
     want the trips themselves.
     """
     cols = _sink_columns(series.node_count, sinks)
-    for block in _column_blocks(series.node_count, cols, 1, "numpy"):
+    for block in _column_blocks(series.node_count, cols):
         _sweep_columns(series, block, trip_sink, summarize=False)

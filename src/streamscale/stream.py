@@ -166,9 +166,13 @@ class LinkStream:
             u, v = lo, hi
         t_min = int(t.min())
         if normalize_times:
+            if int(resolution) <= 0:
+                raise ValueError("resolution must be positive")
             t_origin = t_min
+            # in Python ints: the int64 span can wrap, and the constructor
+            # rejects a horizon this large before it looks at t
+            horizon = (int(t.max()) - t_min) // int(resolution) + 1
             t = (t - t_min) // int(resolution)
-            horizon = int(t.max()) + 1
         elif horizon is None:
             raise ValueError("horizon required when normalize_times is False")
         order = np.lexsort((v, u, t))
@@ -228,6 +232,9 @@ def _parse_lines(text, *, directed, resolution, comment_prefixes, min_fields,
         except ValueError:
             raise ParseError(f"non-integer timestamp {fields[time_field]!r}",
                              line=lineno) from None
+        if not -(1 << 63) <= t < 1 << 63:
+            raise ParseError(f"timestamp {fields[time_field]} does not fit 64 bits",
+                             line=lineno)
         events.append((fields[0], fields[1], t))
     if not events:
         raise ParseError("empty stream: no events found")

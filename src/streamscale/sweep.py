@@ -5,7 +5,7 @@ backward sweep collects occupancy rates and distance aggregates, and all
 selection metrics are scored; the saturation scale per metric is the
 grid point with the maximal score. Reports carry every parameter needed
 to reproduce a run and only deterministic values, so identical runs are
-byte-identical regardless of the thread count.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _downsample_icd(lams, vals, cap):
     return [(float(lams[i]), float(vals[i])) for i in idx]
 
 
-def run_sweep(stream, *, k_list=None, points=40, classic=False, threads=1,
+def run_sweep(stream, *, k_list=None, points=40, classic=False,
               shannon_slots=10, icd_cap=129, keep_distributions=False,
               input_info=None, log=None):
     """Sweep the aggregation grid and score every selection metric.
@@ -91,7 +91,7 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False, threads=1,
     entries = []
     for K in ks:
         series = aggregate(stream, K)
-        dist, agg = minimal_trip_sweep(series, threads=threads)
+        dist, agg = minimal_trip_sweep(series)
         if dist.total == 0:
             raise ValueError(f"no minimal trip at K={K}: cannot score the grid point")
         metrics = compute_metrics(dist, shannon_slots)
@@ -141,11 +141,7 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False, threads=1,
 
 def _json_value(x):
     if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            return None
-        if x == 0.0:
-            x = 0.0  # fold -0.0
-        return float(f"{x:.12g}")
+        return float(fmt(x)) if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _json_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

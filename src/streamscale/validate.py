@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# the stream pass flattens its sink batches this many calls at a time
+_FLATTEN_CALLS = 1 << 10
 
 
 def _sym_events(stream):
@@ -71,6 +73,27 @@ def _flatten(batches):
     v = np.concatenate([b[2] for b in batches]).astype(np.int64, copy=False)
     arr = np.concatenate([b[3] for b in batches]).astype(np.int64, copy=False)
     return u, v, dep, arr
+
+
+class _Batches:
+    """Sink batches (u, dep, v_array, arr_array), flattened every
+    ``_FLATTEN_CALLS`` calls: a tuple of arrays per call costs more memory
+    than the few trips it holds."""
+
+    def __init__(self):
+        self._batches = []
+        self._flat = []
+
+    def append(self, batch):
+        self._batches.append(batch)
+        if len(self._batches) >= _FLATTEN_CALLS:
+            self._flat.append(_flatten(self._batches))
+            self._batches = []
+
+    def arrays(self):
+        """(u, v, dep, arr) arrays of every batch, in call order."""
+        parts = self._flat + [_flatten(self._batches)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _range_min(values, lo, hi):
@@ -184,7 +207,7 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
     pair_keys = np.unique(np.asarray(pair_keys, dtype=np.int64))
     sources = np.zeros(n, dtype=bool)
     sources[pair_keys // n] = True
-    hop2, kept = [], []
+    hop2, kept = _Batches(), _Batches()
 
     def sink(u, v_nodes, dep, arrs, hops):
         if transitions:
@@ -200,10 +223,10 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
         scan_minimal_trips(aggregate(stream, stream.horizon), sink,
                            None if transitions else pair_keys % n)
     # series snapshot k holds instant k - 1
-    a, c, k1, k2 = _flatten(hop2)
+    a, c, k1, k2 = hop2.arrays()
     found = (_expand_transitions(stream, a, c, k1 - 1, k2 - 1)
              if transitions else None)
-    u, v, dep, arr = _flatten(kept)
+    u, v, dep, arr = kept.arrays()
     return found, int(a.size), _PairTrips(u, v, dep - 1, arr - 1, n,
                                           stream.horizon)
 
@@ -370,7 +393,7 @@ def _elongation(stream, K, sample, pair_trips):
                             sample.sampled)
 
 
-def mean_elongation(stream, series, *, max_samples=100_000, seed=0, threads=1):
+def mean_elongation(stream, series, *, max_samples=100_000, seed=0):
     """Mean elongation factor of the series' minimal trips.
 
     For a minimal trip (u, v, t_u, t_v) of the series with t_u != t_v,
@@ -380,8 +403,6 @@ def mean_elongation(stream, series, *, max_samples=100_000, seed=0, threads=1):
     to be >= 1 in exact arithmetic. When more than ``max_samples`` trips
     are eligible, a seeded order-independent subsample of about
     ``max_samples`` trips is scored instead (flagged in the result).
-    ``threads`` changes nothing: trip sinks run on the numpy engine,
-    which sweeps its column blocks one after another.
     """
     sample = _sample_trips(series, max_samples, seed)
     u, v = sample.trips[:2]

@@ -17,7 +17,7 @@ import pytest
 from streamscale.aggregate import aggregate, delta_grid
 from streamscale.cli import main as cli_main
 from streamscale.metrics import cre, mk_distance, mk_proximity, shannon_entropy
-from streamscale.reach import OccupancyDistribution, minimal_trip_sweep
+from streamscale.reach import OccupancyDistribution
 from streamscale.stream import parse_konect
 from streamscale.sweep import run_sweep
 from streamscale.synth import TwoModeSpec, UniformSpec, gen_two_mode, gen_uniform
@@ -48,12 +48,12 @@ def criterion(num, name):
 _SWEEPS = {}
 
 
-def dataset_sweep(name, threads=4):
+def dataset_sweep(name):
     """Cached log:40 sweep (with baseline statistics) of a real dataset."""
     if name not in _SWEEPS:
         path = require_dataset(name)
         stream = parse_konect(path.read_text(encoding="utf-8"), directed=True)
-        report = run_sweep(stream, points=40, classic=True, threads=threads)
+        report = run_sweep(stream, points=40, classic=True)
         _SWEEPS[name] = (stream, report)
     return _SWEEPS[name]
 
@@ -64,11 +64,9 @@ def test_criterion_01_core_dp_oracle_equivalence():
         rng = np.random.default_rng(20240601)
         for i in range(1000):
             series, snapshots, n, K, directed = random_series(rng)
-            trips, dist, _ = collect_trips(series)   # numpy engine
+            trips, dist, _ = collect_trips(series)
             expected = series_minimal_trips(snapshots, directed)
             assert trips == expected, f"instance {i}: trip sets differ"
-            d_nb, _ = minimal_trip_sweep(series, engine="numba")
-            assert d_nb == dist, f"instance {i}: engines disagree"
             multiset = {}
             for _, _, dep, arr, h in expected:
                 key = (h, arr - dep + 1)
@@ -195,7 +193,7 @@ def test_criterion_06_irvine_validation_losses():
         lost = lost_fraction(stream, k_gamma, transitions)
         assert 0.38 <= lost <= 0.58, f"lost fraction {lost:.3f} at gamma"
         series = aggregate(stream, k_gamma)
-        elong = mean_elongation(stream, series, threads=4, seed=0)
+        elong = mean_elongation(stream, series, seed=0)
         assert 1.0 <= elong.mean <= 1.5, f"mean elongation {elong.mean:.3f}"
         k_half_hour = max(1, round(stream.horizon / 1800))
         lost_small = lost_fraction(stream, k_half_hour, transitions)

@@ -196,6 +196,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_timestamp_beyond_64_bits_exits_2(tmp_path, capsys):
+    f = tmp_path / "big.tsv"
+    f.write_text("a\tb\t1\nb\tc\t100000000000000000000\n")
+    code, _, err = run(capsys, "summary", "--input", str(f))
+    assert code == 2
+    assert "line 2" in err and "64 bits" in err
+
+
+def test_timestamp_span_beyond_64_bits_exits_2(tmp_path, capsys):
+    # each timestamp fits int64, their difference does not
+    f = tmp_path / "wide.tsv"
+    f.write_text("a\tb\t-9000000000000000000\nb\tc\t9000000000000000000\n")
+    code, _, err = run(capsys, "summary", "--input", str(f))
+    assert code == 2
+    assert "horizon does not fit 31 bits" in err
+
+
 def test_report_golden_toy(tmp_path, capsys):
     # schema-stability golden: exact values for a frozen 3-event toy
     f = tmp_path / "toy.tsv"
