@@ -6,7 +6,8 @@ way from a to c; aggregated into one window everything collapses to
 single-link trips with occupancy 1.
 """
 
-from streamscale import aggregate, minimal_trip_sweep, parse_tsv
+from streamscale import (aggregate, minimal_trip_sweep, parse_tsv,
+                         scan_minimal_trips)
 
 stream = parse_tsv("a b 0\nb c 1\na c 3\n")
 print(stream)
@@ -19,7 +20,8 @@ for K in (4, 2, 1):
         for v, a, h in zip(vs, arrs, hops):
             trips.append((stream.labels[u], stream.labels[v], dep, int(a), int(h)))
 
-    dist, agg = minimal_trip_sweep(series, trip_sink=sink)
+    scan_minimal_trips(series, sink)
+    _, agg = minimal_trip_sweep(series)
     print(f"\nK={K} (window length {series.delta_seconds:g}s)")
     for u, v, dep, arr, hops in sorted(trips):
         dur = arr - dep + 1

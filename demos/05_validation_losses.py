@@ -20,9 +20,10 @@ print(f"{stream} with {len(transitions)} shortest transitions")
 gamma_K = run_sweep(stream, points=20).gamma["mk"]["K"]
 
 print("\n  K      window(s)  lost_fraction  mean_elongation")
-for K, delta_s in delta_grid(stream, 10):
+for K in delta_grid(stream, 10):
     lost = lost_fraction(stream, K, transitions)
-    elong = mean_elongation(stream, aggregate(stream, K), seed=0)
+    series = aggregate(stream, K)
+    elong = mean_elongation(stream, series, seed=0)
     elong_s = f"{elong.mean:.3f}" if elong.samples else "   -"
     marker = " <-- gamma region" if K == gamma_K else ""
-    print(f"  {K:>6} {delta_s:>10.1f} {lost:>13.3f} {elong_s:>14}{marker}")
+    print(f"  {K:>6} {series.delta_seconds:>10.1f} {lost:>13.3f} {elong_s:>14}{marker}")

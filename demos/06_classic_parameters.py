@@ -14,10 +14,10 @@ stream = gen_uniform(UniformSpec(node_count=20, links_per_pair=10,
                                  horizon=15_000, seed=3))
 print(stream)
 print("\n  K      window(s)   density  largest_cc  d_hops  d_time_abs(s)")
-for K, delta_s in delta_grid(stream, 10):
+for K in delta_grid(stream, 10):
     series = aggregate(stream, K)
     _, agg = minimal_trip_sweep(series)
     st = classic_stats(series, aggregates=agg)
-    print(f"  {K:>6} {delta_s:>10.1f} {st.mean_density:>9.5f} "
+    print(f"  {K:>6} {series.delta_seconds:>10.1f} {st.mean_density:>9.5f} "
           f"{st.mean_largest_cc:>11.2f} {st.mean_d_hops:>7.3f} "
           f"{st.mean_d_time_abs:>12.1f}")

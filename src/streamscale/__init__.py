@@ -10,10 +10,10 @@ baseline statistics, loss validation measures and synthetic generators.
 
 from .stream import (LinkStream, StreamSummary, ParseError, parse_tsv,
                      parse_konect, write_tsv, stream_summary)
-from .aggregate import GraphSeries, DeltaGrid, aggregate, delta_grid
-from .reach import (OccupancyDistribution, DistanceAggregates, occupancy_rate,
-                    minimal_trip_sweep)
-from .metrics import (icd, icd_points, mk_distance, mk_proximity, std_dev,
+from .aggregate import GraphSeries, aggregate, delta_grid
+from .reach import (OccupancyDistribution, DistanceAggregates,
+                    minimal_trip_sweep, scan_minimal_trips)
+from .metrics import (icd_points, mk_distance, mk_proximity, std_dev,
                       variation_coeff, shannon_entropy, cre, select_gamma,
                       compute_metrics)
 from .classic import ClassicStats, snapshot_stats, distance_stats, classic_stats
@@ -28,10 +28,10 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkStream", "StreamSummary", "ParseError", "parse_tsv", "parse_konect",
     "write_tsv", "stream_summary",
-    "GraphSeries", "DeltaGrid", "aggregate", "delta_grid",
-    "OccupancyDistribution", "DistanceAggregates", "occupancy_rate",
-    "minimal_trip_sweep",
-    "icd", "icd_points", "mk_distance", "mk_proximity", "std_dev",
+    "GraphSeries", "aggregate", "delta_grid",
+    "OccupancyDistribution", "DistanceAggregates", "minimal_trip_sweep",
+    "scan_minimal_trips",
+    "icd_points", "mk_distance", "mk_proximity", "std_dev",
     "variation_coeff", "shannon_entropy", "cre", "select_gamma",
     "compute_metrics",
     "ClassicStats", "snapshot_stats", "distance_stats", "classic_stats",

@@ -9,12 +9,11 @@ non-integer number of resolution units without any rounding drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["GraphSeries", "DeltaGrid", "aggregate", "delta_grid"]
+__all__ = ["GraphSeries", "aggregate", "delta_grid"]
 
 
 class GraphSeries:
@@ -102,21 +101,6 @@ class GraphSeries:
         u, v = self.edges(k)
         return set(zip(u.tolist(), v.tolist()))
 
-    def out_edges(self, k):
-        """Symmetrized (source, target) arrays of snapshot k."""
-        i = np.searchsorted(self._s_snap, k)
-        if i == len(self._s_snap) or self._s_snap[i] != k:
-            return (np.empty(0, dtype=np.int64),) * 2
-        lo, hi = self._s_start[i], self._s_start[i + 1]
-        return self.su[lo:hi], self.sv[lo:hi]
-
-    def neighbors(self, k, u):
-        """Sorted out-neighbor array of node u in snapshot k."""
-        su, sv = self.out_edges(k)
-        lo = np.searchsorted(su, u, side="left")
-        hi = np.searchsorted(su, u, side="right")
-        return sv[lo:hi]
-
     @classmethod
     def from_snapshots(cls, snapshots, *, node_count=None, directed=False,
                        horizon=None, resolution=1):
@@ -160,25 +144,6 @@ def aggregate(stream, K):
                        directed=stream.directed)
 
 
-@dataclass
-class DeltaGrid:
-    """Window counts K (strictly decreasing) with their exact window lengths."""
-
-    ks: tuple
-    horizon: int
-    resolution: int
-
-    def __iter__(self):
-        for k in self.ks:
-            yield k, self.delta_seconds(k)
-
-    def __len__(self):
-        return len(self.ks)
-
-    def delta_seconds(self, k):
-        return self.horizon * self.resolution / k
-
-
 def delta_grid(stream, points):
     """Log-spaced aggregation grid from the resolution up to the horizon.
 
@@ -186,7 +151,7 @@ def delta_grid(stream, points):
     [resolution, horizon] and converted to window counts
     K = round(horizon/delta); duplicates collapse and both endpoints
     (K = 1 and K = horizon, one window per resolution step) are always
-    present.
+    present. Returns the window counts as a strictly decreasing tuple.
     """
     points = int(points)
     if points < 2:
@@ -196,5 +161,4 @@ def delta_grid(stream, points):
     ks = np.rint(h / targets).astype(np.int64)
     ks = np.clip(ks, 1, h)
     ks = np.unique(np.concatenate([ks, [1, h]]))[::-1]
-    return DeltaGrid(ks=tuple(int(k) for k in ks), horizon=h,
-                     resolution=stream.resolution)
+    return tuple(int(k) for k in ks)

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .aggregate import aggregate, delta_grid
-from .metrics import icd_points
+from .metrics import METRIC_IDS, icd_points
 from .reach import minimal_trip_sweep
 from .stream import ParseError, parse_konect, parse_tsv, stream_summary, write_tsv
 from .sweep import (fmt, report_to_json, run_sweep, write_classic_csv,
@@ -69,7 +69,7 @@ def _parse_grid(args, stream):
         points = int(spec[4:])
     except ValueError:
         raise ValueError(f"bad --grid {spec!r}") from None
-    return list(delta_grid(stream, points).ks)
+    return list(delta_grid(stream, points))
 
 
 def _out_stream(path_str):
@@ -157,21 +157,34 @@ def build_parser():
     return parser
 
 
-def _shannon_slots_from_metric(args):
-    if args.metric.startswith("shannon:"):
+def _checked_metric(args, allow_all):
+    """(metric id, Shannon slot count) of ``--metric``.
+
+    Called before the stream is loaded, so that a bad name costs no work.
+    """
+    slots = getattr(args, "shannon_slots", 10)
+    name = args.metric
+    plain = [m for m in METRIC_IDS if m != "shannon"]
+    if name.startswith("shannon:"):
         try:
-            slots = int(args.metric.split(":", 1)[1])
+            k = int(name.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad metric {args.metric!r}") from None
-        if getattr(args, "shannon_slots", slots) not in (slots, 10):
+            raise ValueError(f"bad metric {name!r}") from None
+        if slots not in (k, 10):
             raise ValueError("--metric shannon:<k> conflicts with --shannon-slots")
-        return slots
-    return getattr(args, "shannon_slots", 10)
+        name, slots = f"shannon:{k}", k
+    elif not (name in plain or (allow_all and name == "all")):
+        raise ValueError(f"unknown metric {name!r}; expected one of "
+                         f"{', '.join(plain)}, shannon:<k>"
+                         + (" or all" if allow_all else ""))
+    if slots < 2:
+        raise ValueError("the Shannon slot count must be >= 2")
+    return name, slots
 
 
 def cmd_sweep(args):
+    chosen, args.shannon_slots = _checked_metric(args, allow_all=True)
     stream, info = _load_stream(args)
-    args.shannon_slots = _shannon_slots_from_metric(args)
     ks = _parse_grid(args, stream)
     t0 = time.time()
     report = run_sweep(stream, k_list=ks, classic=args.classic,
@@ -188,25 +201,17 @@ def cmd_sweep(args):
         with open(out_dir / "classic.csv", "w", encoding="utf-8") as fh:
             write_classic_csv(report, fh)
     _log(f"report written to {out_dir / 'report.json'}")
-    if args.metric == "all":
-        selected = report.gamma
-    else:
-        if args.metric not in report.gamma:
-            raise ValueError(f"unknown metric {args.metric!r}; "
-                             f"have {sorted(report.gamma)}")
-        selected = {args.metric: report.gamma[args.metric]}
+    selected = report.gamma if chosen == "all" else {chosen: report.gamma[chosen]}
     print(json.dumps({"gamma": selected}, sort_keys=True))
     return 0
 
 
 def cmd_validate(args):
+    metric, slots = _checked_metric(args, allow_all=False)
     stream, _ = _load_stream(args)
     if args.at_gamma:
         report = run_sweep(stream, k_list=_parse_grid(args, stream), log=_log,
-                           shannon_slots=_shannon_slots_from_metric(args))
-        metric = args.metric if args.metric != "all" else "mk"
-        if metric not in report.gamma:
-            raise ValueError(f"unknown metric {metric!r}")
+                           shannon_slots=slots)
         ks = [report.gamma[metric]["K"]]
         _log(f"validating at gamma[{metric}]: K={ks[0]}")
     elif args.k_list:

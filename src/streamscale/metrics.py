@@ -11,12 +11,10 @@ the slot count is the metric's own parameter.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "icd",
     "icd_points",
     "mk_distance",
     "mk_proximity",
@@ -53,20 +51,9 @@ def _icd_steps(dist):
     return bounds, tails
 
 
-def icd(dist, lam):
-    """P(X > lam): fraction of trips with occupancy strictly above lam."""
-    _rate_arrays(dist)
-    lam = Fraction(lam)
-    above = sum(w for r, w in dist.support() if r > lam)
-    return above / dist.total
-
-
 def icd_points(dist):
-    """(lambda, icd) rows at 0, every distinct rate, and 1."""
-    _, _, weights, rates = _rate_arrays(dist)
-    total = weights.sum()
-    tails = np.cumsum(weights[::-1])[::-1] / total
-    lams = np.concatenate([[0.0], rates])
+    """(lambda, P(X > lambda)) rows at 0, every distinct rate, and 1."""
+    lams, tails = _icd_steps(dist)
     # right-continuous: at lambda = r_i the mass at r_i is already out
     vals = np.concatenate([[1.0], tails[1:], [0.0]])
     if lams[-1] != 1.0:

@@ -23,8 +23,8 @@ import numpy as np
 __all__ = [
     "OccupancyDistribution",
     "DistanceAggregates",
-    "occupancy_rate",
     "minimal_trip_sweep",
+    "scan_minimal_trips",
 ]
 
 _FLUSH_AT = 1 << 20
@@ -32,86 +32,37 @@ _FLUSH_AT = 1 << 20
 _MAX_STATE_ELEMENTS = 24_000_000
 
 
-def occupancy_rate(hops, duration):
-    """Exact rate hops/duration in (0, 1] of a minimal trip."""
-    hops = int(hops)
-    duration = int(duration)
-    if not 1 <= hops <= duration:
-        raise ValueError(f"need 1 <= hops <= duration, got ({hops}, {duration})")
-    return Fraction(hops, duration)
-
-
 class OccupancyDistribution:
     """Multiset of occupancy rates, kept as exact (hops, duration) keys.
 
-    Backed by sorted parallel arrays (hops, duration, count) so that
-    distributions with millions of distinct keys stay cheap to build and
-    reduce; ad-hoc ``add`` calls are buffered and folded in lazily.
-    Hops and durations must fit 31 bits (they are snapshot counts).
+    Built once from parallel arrays of hops, durations and counts (one
+    each when ``counts`` is None); repeated keys are summed exactly and
+    the result is never mutated. Stored as sorted parallel arrays so that
+    distributions with millions of distinct keys stay cheap to reduce.
+    Durations must fit 31 bits (they are snapshot counts).
     """
 
-    def __init__(self, counts=None):
-        self._h = np.empty(0, dtype=np.int64)
-        self._d = np.empty(0, dtype=np.int64)
-        self._c = np.empty(0, dtype=np.int64)
-        self._pending = []
-        self.total = 0
-        if counts:
-            for (h, d), c in dict(counts).items():
-                self.add(h, d, c)
-
-    def add(self, hops, duration, count=1):
-        hops = int(hops)
-        duration = int(duration)
-        if not 1 <= hops <= duration:
-            raise ValueError(f"need 1 <= hops <= duration, got ({hops}, {duration})")
-        if duration >= 1 << 31:
+    def __init__(self, hops=(), durations=(), counts=None):
+        h = np.asarray(hops, dtype=np.int64)
+        d = np.asarray(durations, dtype=np.int64)
+        c = (np.ones(h.shape, dtype=np.int64) if counts is None
+             else np.asarray(counts, dtype=np.int64))
+        if h.ndim != 1 or not h.shape == d.shape == c.shape:
+            raise ValueError("hops, durations and counts must be 1-d arrays "
+                             "of one length")
+        bad = np.flatnonzero((h < 1) | (h > d))
+        if bad.size:
+            raise ValueError(f"need 1 <= hops <= duration, got "
+                             f"({h[bad[0]]}, {d[bad[0]]})")
+        if d.size and d.max() >= 1 << 31:
             raise ValueError("duration does not fit 31 bits")
-        self._pending.append((hops, duration, int(count)))
-        self.total += int(count)
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from an iterable of (hops, duration) samples."""
-        dist = cls()
-        for h, d in pairs:
-            dist.add(h, d)
-        return dist
-
-    @classmethod
-    def _from_packed(cls, keys, counts, mult):
-        """From combined keys hops*mult + duration with multiplicities.
-
-        Keys sorted by hops*mult + duration are already in (hops,
-        duration) lexicographic order since duration < mult.
-        """
-        dist = cls()
-        if keys.size:
-            dist._h = keys // mult
-            dist._d = keys % mult
-            if dist._d.max() >= 1 << 31 or dist._h.max() >= 1 << 31:
-                raise ValueError("hops/duration do not fit 31 bits")
-            dist._c = counts
-            dist.total = int(_exact_sum(dist._c))
-        return dist
-
-    def _normalize(self):
-        if not self._pending:
-            return
-        h = np.array([x[0] for x in self._pending], dtype=np.int64)
-        d = np.array([x[1] for x in self._pending], dtype=np.int64)
-        c = np.array([x[2] for x in self._pending], dtype=np.int64)
-        self._pending = []
-        h = np.concatenate([self._h, h])
-        d = np.concatenate([self._d, d])
-        c = np.concatenate([self._c, c])
-        packed, self._c = _keyed_sum(h * (np.int64(1) << 31) + d, c)
-        self._h = packed // (np.int64(1) << 31)
-        self._d = packed % (np.int64(1) << 31)
+        keys, self._c = _keyed_sum((h << np.int64(31)) | d, c)
+        self._h = keys >> np.int64(31)
+        self._d = keys & np.int64((1 << 31) - 1)
+        self.total = _exact_sum(self._c)
 
     def arrays(self):
         """(hops, duration, count) arrays sorted by (hops, duration)."""
-        self._normalize()
         return self._h, self._d, self._c
 
     def items(self):
@@ -119,19 +70,6 @@ class OccupancyDistribution:
         h, d, c = self.arrays()
         return [((int(hh), int(dd)), int(cc))
                 for hh, dd, cc in zip(h.tolist(), d.tolist(), c.tolist())]
-
-    def support(self):
-        """Distinct rates as sorted (Fraction, weight) pairs.
-
-        Keys with equal value (e.g. (1, 2) and (2, 4)) are merged.
-        Builds Fractions per key: meant for small distributions.
-        """
-        h, d, c = self.arrays()
-        reduced = {}
-        for hh, dd, cc in zip(h.tolist(), d.tolist(), c.tolist()):
-            r = Fraction(hh, dd)
-            reduced[r] = reduced.get(r, 0) + cc
-        return sorted(reduced.items())
 
     def reduced_rate_arrays(self):
         """(p, q, weight, value) arrays of distinct reduced rates p/q,
@@ -252,9 +190,9 @@ class _EmissionBuffer:
         self._partials.append((uniq, cnt.astype(np.int64)))
 
     def result(self):
-        """Combined (packed keys, counts) arrays."""
+        """(packed keys, counts) arrays of every flush; a key may repeat."""
         self._flush()
-        return _keyed_sum(*_concat_pairs(self._partials))
+        return _concat_pairs(self._partials)
 
 
 def _concat_pairs(pairs):
@@ -274,13 +212,13 @@ def _keyed_sum(keys, counts):
     return keys[first], np.add.reduceat(counts[order], first)
 
 
-def _sweep_columns(series, cols, trip_sink=None, summarize=True):
+def _sweep_columns(series, cols, trip_sink=None):
     """Backward DP over one block of destination columns.
 
-    Returns (packed emission keys, counts, sum_d_time, sum_d_hops,
-    finite_triples) with exact integer sums. With ``summarize`` false
-    only ``trip_sink`` sees the trips: no keys are counted, no distance
-    sums are kept, and None is returned.
+    Without ``trip_sink``, returns (packed emission keys, counts,
+    sum_d_time, sum_d_hops, finite_triples) with exact integer sums.
+    With it, only ``trip_sink`` sees the trips: no keys are counted, no
+    distance sums are kept, and None is returned.
     """
     n = series.node_count
     K = series.snapshot_count
@@ -297,7 +235,7 @@ def _sweep_columns(series, cols, trip_sink=None, summarize=True):
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
 
-    buf = _EmissionBuffer(K) if summarize else None
+    buf = _EmissionBuffer(K) if trip_sink is None else None
     sum_d_time = 0
     sum_d_hops = 0
     finite_triples = 0
@@ -348,7 +286,7 @@ def _sweep_columns(series, cols, trip_sink=None, summarize=True):
         # pass 2: close runs, emit improvements, write the k state
         for u, new_ea, new_hp in updates:
             old_ea = ea[u]
-            if summarize:
+            if buf is not None:
                 old_hp = hp[u]
                 changed = (new_ea != old_ea) | (new_hp != old_hp)
                 ch = np.nonzero(changed)[0]
@@ -371,14 +309,14 @@ def _sweep_columns(series, cols, trip_sink=None, summarize=True):
             if improved.size:
                 arr = new_ea[improved].astype(np.int64)
                 hops = new_hp[improved].astype(np.int64)
-                if summarize:
+                if buf is not None:
                     buf.add(hops, arr - k + 1)
-                if trip_sink is not None:
+                else:
                     trip_sink(u, cols[improved], k, arr, hops)
             ea[u] = new_ea
             hp[u] = new_hp
 
-    if not summarize:
+    if buf is None:
         return None
     # flush the final runs: the last state holds for departures 1..run_end
     for u in range(n):
@@ -414,43 +352,41 @@ def _sink_columns(n, sinks):
     return cols
 
 
-def minimal_trip_sweep(series, sinks=None, *, trip_sink=None):
+def minimal_trip_sweep(series):
     """All minimal trips of a series, as occupancy and distance aggregates.
 
-    Runs the backward DP toward every destination in ``sinks`` (all nodes
-    by default). Destination columns are independent, so they are swept
-    in blocks, split only to bound the state memory, whose partials merge
-    exactly: the result does not depend on the block layout.
-    ``trip_sink(u, v_array, dep, arr_array, hops_array)``, when given,
-    receives every emitted minimal trip.
+    Runs the backward DP toward every destination. Destination columns
+    are independent, so they are swept in blocks, split only to bound the
+    state memory, whose partials merge exactly: the result does not
+    depend on the block layout. :func:`scan_minimal_trips` yields the
+    trips themselves.
 
     Returns (OccupancyDistribution, DistanceAggregates).
     """
     n = series.node_count
-    cols = _sink_columns(n, sinks)
-    results = [_sweep_columns(series, b, trip_sink=trip_sink)
-               for b in _column_blocks(n, cols)]
+    results = [_sweep_columns(series, b)
+               for b in _column_blocks(n, np.arange(n, dtype=np.int64))]
 
-    agg = DistanceAggregates(pair_count=int(cols.size) * (n - 1),
+    agg = DistanceAggregates(pair_count=n * (n - 1),
                              snapshot_count=series.snapshot_count,
                              delta_seconds=series.delta_seconds)
     for _, _, sdt, sdh, fin in results:
         agg.sum_d_time += sdt
         agg.sum_d_hops += sdh
         agg.finite_triples += fin
-    keys, counts = _keyed_sum(*_concat_pairs([r[:2] for r in results]))
-    dist = OccupancyDistribution._from_packed(keys, counts,
-                                              series.snapshot_count + 1)
-    return dist, agg
+    keys, counts = _concat_pairs([r[:2] for r in results])
+    mult = series.snapshot_count + 1
+    return OccupancyDistribution(keys // mult, keys % mult, counts), agg
 
 
 def scan_minimal_trips(series, trip_sink, sinks=None):
-    """Feed every minimal trip toward ``sinks`` to ``trip_sink``, keep nothing.
+    """Feed every minimal trip toward ``sinks`` (all nodes by default) to
+    ``trip_sink(u, v_array, dep, arr_array, hops_array)``, keep nothing.
 
     The DP of :func:`minimal_trip_sweep` without its products: no
-    occupancy distribution and no distance sums, for callers that only
-    want the trips themselves.
+    occupancy distribution and no distance sums, for callers that want
+    the trips themselves.
     """
     cols = _sink_columns(series.node_count, sinks)
     for block in _column_blocks(series.node_count, cols):
-        _sweep_columns(series, block, trip_sink, summarize=False)
+        _sweep_columns(series, block, trip_sink)

@@ -25,6 +25,9 @@ __all__ = ["GridEntry", "SweepReport", "run_sweep", "report_to_json",
            "write_curve_csv", "write_classic_csv", "write_icd_csv",
            "write_validate_csv", "fmt"]
 
+# ICD sample points kept per grid entry in the report
+ICD_CAP = 129
+
 
 def fmt(x):
     """Floats with 12 significant digits, for cross-run comparability."""
@@ -45,7 +48,6 @@ class GridEntry:
     metrics: dict
     icd: list                      # (lambda, P(X > lambda)) sample points
     classic: object = None         # ClassicStats when requested
-    distribution: object = None    # OccupancyDistribution when retained
 
 
 @dataclass
@@ -58,26 +60,21 @@ class SweepReport:
     labels: tuple = ()
     parameters: dict = field(default_factory=dict)
 
-    def curve(self, metric):
-        return [(e.K, e.delta_seconds, e.metrics[metric]) for e in self.entries]
 
-
-def _downsample_icd(lams, vals, cap):
-    if lams.size <= cap:
+def _downsample_icd(lams, vals):
+    if lams.size <= ICD_CAP:
         idx = np.arange(lams.size)
     else:
-        idx = np.unique(np.round(np.linspace(0, lams.size - 1, cap)).astype(int))
+        idx = np.unique(np.round(np.linspace(0, lams.size - 1, ICD_CAP)).astype(int))
     return [(float(lams[i]), float(vals[i])) for i in idx]
 
 
 def run_sweep(stream, *, k_list=None, points=40, classic=False,
-              shannon_slots=10, icd_cap=129, keep_distributions=False,
-              input_info=None, log=None):
+              shannon_slots=10, input_info=None, log=None):
     """Sweep the aggregation grid and score every selection metric.
 
     ``k_list`` overrides the log-spaced grid of ``points`` window counts.
-    Returns a :class:`SweepReport`; per-entry distributions are dropped
-    unless ``keep_distributions`` (they can be large).
+    Returns a :class:`SweepReport`.
     """
     from . import __version__
 
@@ -86,7 +83,7 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False,
         if not ks:
             raise ValueError("empty k list")
     else:
-        ks = list(delta_grid(stream, points).ks)
+        ks = list(delta_grid(stream, points))
 
     entries = []
     for K in ks:
@@ -101,9 +98,8 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False,
             delta_seconds=series.delta_seconds,
             trip_count=dist.total,
             metrics=metrics,
-            icd=_downsample_icd(lams, vals, icd_cap),
+            icd=_downsample_icd(lams, vals),
             classic=classic_stats(series, aggregates=agg) if classic else None,
-            distribution=dist if keep_distributions else None,
         )
         entries.append(entry)
         if log is not None:
@@ -134,7 +130,7 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False,
         shannon_slots=shannon_slots,
         version=__version__,
         labels=stream.labels,
-        parameters={"grid": ks, "classic": classic, "icd_cap": icd_cap,
+        parameters={"grid": ks, "classic": classic, "icd_cap": ICD_CAP,
                     "shannon_slots": shannon_slots},
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import aggregate
-from .reach import minimal_trip_sweep, scan_minimal_trips
+from .reach import scan_minimal_trips
 
 __all__ = [
     "TransitionSet",
@@ -350,7 +350,7 @@ class _TripSampler:
 def _sample_trips(series, max_samples, seed):
     """The finished sampler of a series' eligible trips, from one DP run."""
     sampler = _TripSampler(max_samples, seed)
-    minimal_trip_sweep(series, trip_sink=sampler)
+    scan_minimal_trips(series, sampler)
     return sampler.finish()
 
 

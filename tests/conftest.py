@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from streamscale.aggregate import GraphSeries
-from streamscale.reach import minimal_trip_sweep
+from streamscale.reach import (OccupancyDistribution, minimal_trip_sweep,
+                               scan_minimal_trips)
 from streamscale.stream import LinkStream
 
 
@@ -54,16 +55,35 @@ def random_stream(rng, max_n=6, max_events=20, max_t=15):
     return stream, sorted(events), directed
 
 
-def collect_trips(series, **kwargs):
-    """Run the sweep gathering every emitted trip as (u, v, dep, arr, hops)."""
+def scan_trips(series, sinks=None):
+    """Every minimal trip toward ``sinks`` (all nodes by default) as a set
+    of (u, v, dep, arr, hops), from :func:`scan_minimal_trips`."""
     trips = []
 
     def sink(u, vs, dep, arrs, hops):
         for v, a, h in zip(vs.tolist(), arrs.tolist(), hops.tolist()):
             trips.append((u, v, dep, a, h))
 
-    dist, agg = minimal_trip_sweep(series, trip_sink=sink, **kwargs)
-    return set(trips), dist, agg
+    scan_minimal_trips(series, sink, sinks)
+    return set(trips)
+
+
+def collect_trips(series):
+    """Every minimal trip of the series, with its occupancy distribution
+    and distance aggregates over all destinations."""
+    dist, agg = minimal_trip_sweep(series)
+    return scan_trips(series), dist, agg
+
+
+def random_distribution(rng, max_keys, max_duration, max_weight):
+    """Random occupancy distribution of 1..max_keys-1 weighted
+    (hops, duration) draws, repeated keys included."""
+    rows = []
+    for _ in range(int(rng.integers(1, max_keys))):
+        dur = int(rng.integers(1, max_duration))
+        rows.append((int(rng.integers(1, dur + 1)), dur,
+                     int(rng.integers(1, max_weight))))
+    return OccupancyDistribution(*zip(*rows))
 
 
 DATASET_FILES = {

@@ -7,8 +7,21 @@ code under test.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
+
+
+def icd(dist, lam):
+    """P(X > lam) in exact arithmetic: the share of trips whose occupancy
+    hops/duration is strictly above lam."""
+    h, d, c = dist.arrays()
+    if dist.total == 0:
+        raise ValueError("empty occupancy distribution")
+    lam = Fraction(lam)
+    above = sum(cc for hh, dd, cc in zip(h.tolist(), d.tolist(), c.tolist())
+                if Fraction(hh, dd) > lam)
+    return Fraction(above, dist.total)
 
 
 def quad_icd(dist, integrand):
@@ -41,10 +54,7 @@ def uniform_rate_distribution(n):
     uniform density reference, approaching it at rate 1/n."""
     from streamscale.reach import OccupancyDistribution
 
-    d = OccupancyDistribution()
-    for i in range(1, n + 1):
-        d.add(i, n)
-    return d
+    return OccupancyDistribution(np.arange(1, n + 1), np.full(n, n))
 
 
 def series_walks(snapshots, directed):

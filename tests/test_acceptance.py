@@ -24,7 +24,8 @@ from streamscale.synth import TwoModeSpec, UniformSpec, gen_two_mode, gen_unifor
 from streamscale.validate import (enumerate_shortest_transitions, lost_fraction,
                                   mean_elongation)
 
-from conftest import collect_trips, random_series, random_stream, require_dataset
+from conftest import (collect_trips, random_distribution, random_series,
+                      random_stream, require_dataset)
 from oracles import (quad_icd, series_minimal_trips, stream_shortest_transitions,
                      uniform_rate_distribution)
 
@@ -78,7 +79,7 @@ def test_criterion_01_core_dp_oracle_equivalence():
 
 def test_criterion_02_metric_closed_forms():
     with criterion(2, "metric closed forms and quadrature agreement"):
-        point_mass = OccupancyDistribution.from_pairs([(1, 1)])
+        point_mass = OccupancyDistribution([1], [1])
         assert abs(mk_distance(point_mass) - 0.5) <= 1e-9
 
         # finite stand-ins for the uniform density: exact analytic values
@@ -99,10 +100,7 @@ def test_criterion_02_metric_closed_forms():
 
         rng = np.random.default_rng(77)
         for _ in range(100):
-            d = OccupancyDistribution()
-            for _ in range(int(rng.integers(1, 30))):
-                dur = int(rng.integers(1, 40))
-                d.add(int(rng.integers(1, dur + 1)), dur, int(rng.integers(1, 5)))
+            d = random_distribution(rng, 30, 40, 5)
             q_mk = quad_icd(d, lambda p, lam: abs(p - (1 - lam)))
             q_cre = quad_icd(d, lambda p, lam: -p * math.log(p) if p > 0 else 0.0)
             assert abs(mk_distance(d) - q_mk) <= 1e-9

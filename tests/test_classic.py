@@ -89,9 +89,8 @@ def test_k1_distance_endpoints():
 def test_monotone_drift_along_grid():
     stream = gen_uniform(UniformSpec(node_count=8, links_per_pair=6,
                                      horizon=600, seed=4))
-    grid = delta_grid(stream, 8)
     densities, hops = [], []
-    for K, _ in grid:
+    for K in delta_grid(stream, 8):
         series = aggregate(stream, K)
         dist, agg = minimal_trip_sweep(series)
         stats = classic_stats(series, aggregates=agg)

@@ -172,6 +172,26 @@ def test_validate_max_samples_subsamples(tmp_path, capsys):
     assert 1 <= sample <= 40 and "subsample" in err
 
 
+def test_unknown_metric_rejected_before_any_work(tmp_path, capsys):
+    f = tmp_path / "toy.tsv"
+    f.write_text("a b 0\nb c 1\na c 3\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", "--input", str(f), "--grid", "log:5",
+                       "--metric", "bogus", "--out-dir", str(out_dir))
+    assert code == 2 and "unknown metric 'bogus'" in err
+    assert "K=" not in err and not (out_dir / "report.json").exists()
+    for argv in (("--metric", "shannon:1"), ("--shannon-slots", "1")):
+        code, _, err = run(capsys, "sweep", "--input", str(f), "--grid", "log:5",
+                           *argv, "--out-dir", str(out_dir))
+        assert code == 2 and "slot count" in err and "K=" not in err
+    # validate picks one K, so "all" names no metric there
+    for metric in ("bogus", "all"):
+        code, _, err = run(capsys, "validate", "--input", str(f), "--at-gamma",
+                           "--grid", "log:5", "--metric", metric)
+        assert code == 2 and f"unknown metric '{metric}'" in err
+        assert "K=" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing --input

@@ -5,20 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamscale.metrics import (cre, icd, icd_points, mk_distance, mk_proximity,
+from streamscale.metrics import (cre, icd_points, mk_distance, mk_proximity,
                                  select_gamma, shannon_entropy, std_dev,
                                  variation_coeff)
 from streamscale.reach import OccupancyDistribution
 
-from oracles import quad_icd, uniform_rate_distribution as uniform_dist
+from conftest import random_distribution
+from oracles import icd, quad_icd, uniform_rate_distribution as uniform_dist
 
 
 def dist_of(*pairs):
     """pairs: (hops, duration) or (hops, duration, weight)."""
-    d = OccupancyDistribution()
-    for p in pairs:
-        d.add(*p)
-    return d
+    return OccupancyDistribution(*zip(*(p if len(p) == 3 else (*p, 1)
+                                        for p in pairs)))
 
 
 def test_icd_values():
@@ -35,6 +34,21 @@ def test_icd_points_step_shape():
     lams, vals = icd_points(dist_of((1, 1, 5)))
     assert lams.tolist() == [0.0, 1.0]
     assert vals.tolist() == [1.0, 0.0]
+
+
+def test_icd_points_match_exact_reference():
+    # every row sits at 0, at an exact distinct rate or at 1, and holds
+    # P(X > lambda) there
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        d = random_distribution(rng, 30, 40, 5)
+        h, dur, _ = d.arrays()
+        rates = sorted({Fraction(a, b) for a, b in zip(h.tolist(), dur.tolist())})
+        exact = [Fraction(0)] + rates + ([Fraction(1)] if rates[-1] != 1 else [])
+        lams, vals = icd_points(d)
+        assert lams.tolist() == [float(x) for x in exact]
+        assert vals.tolist() == pytest.approx([float(icd(d, x)) for x in exact],
+                                              abs=1e-12)
 
 
 def test_mk_closed_forms():
@@ -92,10 +106,7 @@ def test_shannon_boundary_upper_inclusive():
 def test_shannon_bounded_by_log_slots():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        d = OccupancyDistribution()
-        for _ in range(int(rng.integers(1, 25))):
-            dur = int(rng.integers(1, 30))
-            d.add(int(rng.integers(1, dur + 1)), dur, int(rng.integers(1, 4)))
+        d = random_distribution(rng, 25, 30, 4)
         k = int(rng.integers(2, 20))
         assert shannon_entropy(d, k) <= math.log(k) + 1e-12
 
@@ -112,10 +123,7 @@ def test_metric_errors():
 def test_exact_integrals_match_quadrature():
     rng = np.random.default_rng(42)
     for _ in range(100):
-        d = OccupancyDistribution()
-        for _ in range(int(rng.integers(1, 30))):
-            dur = int(rng.integers(1, 40))
-            d.add(int(rng.integers(1, dur + 1)), dur, int(rng.integers(1, 5)))
+        d = random_distribution(rng, 30, 40, 5)
         q_mk = quad_icd(d, lambda p, lam: abs(p - (1 - lam)))
         q_cre = quad_icd(d, lambda p, lam: -p * math.log(p) if p > 0 else 0.0)
         assert mk_distance(d) == pytest.approx(q_mk, abs=1e-9)
@@ -125,10 +133,7 @@ def test_exact_integrals_match_quadrature():
 def test_mk_bounds():
     rng = np.random.default_rng(7)
     for _ in range(60):
-        d = OccupancyDistribution()
-        for _ in range(int(rng.integers(1, 20))):
-            dur = int(rng.integers(1, 25))
-            d.add(int(rng.integers(1, dur + 1)), dur, int(rng.integers(1, 6)))
+        d = random_distribution(rng, 20, 25, 6)
         md = mk_distance(d)
         assert 0.0 - 1e-12 <= md <= 0.5 + 1e-12
         assert 0.0 - 1e-12 <= mk_proximity(d) <= 0.5 + 1e-12
@@ -144,10 +149,8 @@ def test_mk_argmax_is_least_deviating_on_simplex():
     for w in itertools.product(range(7), repeat=4):
         if sum(w) != 6:
             continue
-        d = OccupancyDistribution()
-        for (h, dur), weight in zip(support, w):
-            if weight:
-                d.add(h, dur, weight)
+        d = dist_of(*[(h, dur, weight) for (h, dur), weight in zip(support, w)
+                      if weight])
         dev = quad_icd(d, lambda p, lam: abs(p - (1 - lam)))
         prox = mk_proximity(d)
         if best_prox is None or prox > best_prox[0]:

@@ -1,7 +1,8 @@
-"""Property tests of the validation fast paths against brute-force references.
+"""Property tests of the validation fast paths and of input parsing.
 
-Hypothesis draws small streams and queries that the fixed seeds of the
-other tests do not cover; every example is checked against the oracles.
+Hypothesis draws small streams, queries and edge-list files that the
+fixed seeds of the other tests do not cover; every example is checked
+against the oracles or against a second parse.
 """
 
 from unittest import mock
@@ -13,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from streamscale import validate  # noqa: E402
-from streamscale.stream import LinkStream  # noqa: E402
+from streamscale.stream import (LinkStream, parse_konect,  # noqa: E402
+                                parse_tsv, write_tsv)
 from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
                                   enumerate_shortest_transitions)
 
@@ -123,3 +125,53 @@ def test_one_pass_sampler_matches_two_pass_reference(raw, max_samples, seed,
     want, eligible, sampled = _two_pass_sample(trips, max_samples, seed)
     assert list(zip(*(x.tolist() for x in got.trips))) == want
     assert (got.eligible, got.sampled) == (eligible, sampled)
+
+
+@st.composite
+def edge_lists(draw):
+    """(rows, directed): (label_u, label_v, t) rows of an edge-list file
+    with at least one non-loop row, on a clock whose origin may be
+    negative."""
+    directed = draw(st.booleans())
+    origin = draw(st.integers(-2**62, 2**62))
+    label = st.text(alphabet="abz09-_", min_size=1, max_size=2)
+    rows = draw(st.lists(st.tuples(label, label, st.integers(0, 10**6)),
+                         min_size=1, max_size=12)
+                .filter(lambda r: any(u != v for u, v, _ in r)))
+    return [(u, v, origin + dt) for u, v, dt in rows], directed
+
+
+def _labelled(stream):
+    """A stream as its events by label on the original clock."""
+    events = set()
+    for u, v, t in stream.events():
+        a, b = stream.labels[u], stream.labels[v]
+        if not stream.directed:
+            a, b = sorted((a, b))
+        events.add((a, b, stream.t_origin + t * stream.resolution))
+    return (stream.directed, stream.horizon, stream.resolution,
+            stream.t_origin, events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_tsv_round_trip_property(case):
+    # node ids follow the first appearance of labels, which the written
+    # file (sorted by time) may change: compare events by label
+    rows, directed = case
+    stream = parse_tsv("".join(f"{u}\t{v}\t{t}\n" for u, v, t in rows),
+                       directed=directed)
+    again = parse_tsv(write_tsv(stream), directed=directed)
+    assert _labelled(again) == _labelled(stream)
+    assert again.event_count == stream.event_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_crlf_parses_like_lf_property(case):
+    rows, directed = case
+    for parse, line in ((parse_tsv, "{} {} {}\n"), (parse_konect, "{} {} 1 {}\n")):
+        lf = "".join(line.format(*row) for row in rows)
+        crlf = parse(lf.replace("\n", "\r\n"), directed=directed)
+        plain = parse(lf, directed=directed)
+        assert crlf == plain and crlf.t_origin == plain.t_origin

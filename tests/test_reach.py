@@ -5,11 +5,10 @@ import pytest
 
 from streamscale import reach
 from streamscale.aggregate import GraphSeries, aggregate
-from streamscale.reach import (OccupancyDistribution, occupancy_rate,
-                               scan_minimal_trips)
+from streamscale.reach import OccupancyDistribution
 from streamscale.stream import LinkStream
 
-from conftest import collect_trips, random_series, random_stream
+from conftest import collect_trips, random_series, random_stream, scan_trips
 from oracles import (series_distance_sums, series_minimal_trips,
                      stream_earliest_arrival)
 
@@ -28,7 +27,7 @@ def test_relay_chain_example():
     # G1={ab}, G2={bc}, G3={ac}: a->c minimal trips are (1,2) on two hops
     # and (3,3) direct; (2,3) is not minimal because [3,3] is inside [2,3]
     g = GraphSeries.from_snapshots([[(0, 1)], [(1, 2)], [(0, 2)]], directed=False)
-    trips, _, _ = collect_trips(g)
+    trips = scan_trips(g)
     ac = {t for t in trips if t[0] == 0 and t[1] == 2}
     assert ac == {(0, 2, 1, 2, 2), (0, 2, 3, 3, 1)}
     assert not any(t[:4] == (0, 2, 2, 3) for t in trips)
@@ -85,9 +84,8 @@ def test_emitted_trip_properties():
 
 def test_sink_subset_restricts_destinations():
     g = GraphSeries.from_snapshots([[(0, 1)], [(1, 2)]], directed=True)
-    trips, dist, agg = collect_trips(g, sinks=[2])
+    trips = scan_trips(g, sinks=[2])
     assert trips == {(0, 2, 1, 2, 2), (1, 2, 2, 2, 1)}
-    assert agg.pair_count == 2
 
 
 def test_column_blocks_merge_exactly(monkeypatch):
@@ -114,19 +112,14 @@ def test_column_blocks_merge_exactly(monkeypatch):
 
 
 def test_scan_emits_the_sweep_trips():
+    # a scan toward some sinks emits exactly the full scan's trips into them
     rng = np.random.default_rng(12)
     for _ in range(40):
         series, _, n, _, _ = random_series(rng, max_edges=16)
         sinks = sorted({int(x) for x in rng.integers(0, n, size=2)})
-        want, _, _ = collect_trips(series, sinks=sinks)
-        got = set()
-
-        def sink(u, vs, dep, arrs, hops):
-            got.update((u, v, dep, a, h) for v, a, h in
-                       zip(vs.tolist(), arrs.tolist(), hops.tolist()))
-
-        scan_minimal_trips(series, sink, sinks=sinks)
-        assert got == want
+        everything = scan_trips(series)
+        got = scan_trips(series, sinks=sinks)
+        assert got == {t for t in everything if t[1] in sinks}
 
 
 def test_symmetric_directed_equals_undirected():
@@ -148,30 +141,29 @@ def test_symmetric_directed_equals_undirected():
             assert (au.sum_d_time, au.sum_d_hops) == (ad.sum_d_time, ad.sum_d_hops)
 
 
-def test_occupancy_rate_values():
-    assert occupancy_rate(1, 1) == 1
-    assert occupancy_rate(2, 2) == 1
-    assert occupancy_rate(3, 12) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        occupancy_rate(0, 1)
-    with pytest.raises(ValueError):
-        occupancy_rate(3, 2)
-
-
 def test_distribution_merges_and_support():
-    d = OccupancyDistribution.from_pairs([(1, 2), (2, 4), (1, 1)])
-    assert d.total == 3
-    assert d.support() == [(Fraction(1, 2), 2), (Fraction(1, 1), 1)]
+    # repeated keys sum, equal rates (1/2 and 2/4) merge only when reduced
+    d = OccupancyDistribution([2, 1, 1, 1], [4, 2, 1, 2], [1, 1, 1, 3])
+    assert d.items() == [((1, 1), 1), ((1, 2), 4), ((2, 4), 1)]
+    assert d.total == 6
+    assert d == OccupancyDistribution([1, 1, 2, 1, 1, 1], [1, 2, 4, 2, 2, 2])
+    p, q, w, val = d.reduced_rate_arrays()
+    assert (p.tolist(), q.tolist(), w.tolist()) == ([1, 1], [2, 1], [5, 1])
+    assert val.tolist() == [0.5, 1.0]
+    empty = OccupancyDistribution()
+    assert (empty.items(), empty.total, len(empty)) == ([], 0, 0)
+    for bad in (([0], [1]), ([3], [2]), ([1], [2**31]), ([1, 2], [2]),
+                ([1], [2], [1, 1]), ([[1]], [[1]])):
+        with pytest.raises(ValueError):
+            OccupancyDistribution(*bad)
 
 
 def test_counts_stay_exact_above_2_53():
     big = 2**53 + 1  # float64 rounds big + 2 down by one
-    d = OccupancyDistribution()
-    d.add(1, 2, big)
-    d.add(1, 2, 2)
+    d = OccupancyDistribution([1, 1], [2, 2], [big, 2])
     assert d.items() == [((1, 2), big + 2)]
     assert d.total == big + 2
-    d.add(2, 4, 1)  # the same rate 1/2
+    d = OccupancyDistribution([1, 1, 2], [2, 2, 4], [big, 2, 1])  # 2/4 = 1/2
     assert d.reduced_rate_arrays()[2].tolist() == [big + 3]
     keys, counts = reach._keyed_sum(np.array([5, 3, 5], dtype=np.int64),
                                     np.array([big, 7, 2], dtype=np.int64))

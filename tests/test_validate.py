@@ -79,7 +79,7 @@ def test_lost_fraction_trend_along_grid():
                                      horizon=4000, seed=21))
     transitions = enumerate_shortest_transitions(stream)
     fractions = [lost_fraction(stream, K, transitions)
-                 for K, _ in delta_grid(stream, 12)]
+                 for K in delta_grid(stream, 12)]
     violations = [(a, b) for a, b in zip(fractions, fractions[1:]) if a > b]
     if violations:
         print(f"lost_fraction monotonicity violations: {violations}")
