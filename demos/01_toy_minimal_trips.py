@@ -16,9 +16,10 @@ for K in (4, 2, 1):
     series = aggregate(stream, K)
     trips = []
 
-    def sink(u, vs, dep, arrs, hops):
-        for v, a, h in zip(vs, arrs, hops):
-            trips.append((stream.labels[u], stream.labels[v], dep, int(a), int(h)))
+    def sink(us, vs, deps, arrs, hops):
+        for u, v, dep, arr, h in zip(us.tolist(), vs.tolist(), deps.tolist(),
+                                     arrs.tolist(), hops.tolist()):
+            trips.append((stream.labels[u], stream.labels[v], dep, arr, h))
 
     scan_minimal_trips(series, sink)
     _, agg = minimal_trip_sweep(series)

@@ -61,6 +61,10 @@ def _parse_grid(args, stream):
             raise ValueError(f"bad --k-list {args.k_list!r}") from None
         if not ks:
             raise ValueError("empty --k-list")
+        bad = [k for k in ks if not 1 <= k <= stream.horizon]
+        if bad:
+            raise ValueError(f"--k-list value {bad[0]} is outside "
+                             f"[1, {stream.horizon}]")
         return ks
     spec = args.grid
     if not spec.startswith("log:"):
@@ -208,16 +212,14 @@ def cmd_sweep(args):
 
 def cmd_validate(args):
     metric, slots = _checked_metric(args, allow_all=False)
+    if not (args.at_gamma or args.k_list):
+        raise ValueError("validate needs --k-list or --at-gamma")
     stream, _ = _load_stream(args)
+    ks = _parse_grid(args, stream)
     if args.at_gamma:
-        report = run_sweep(stream, k_list=_parse_grid(args, stream), log=_log,
-                           shannon_slots=slots)
+        report = run_sweep(stream, k_list=ks, log=_log, shannon_slots=slots)
         ks = [report.gamma[metric]["K"]]
         _log(f"validating at gamma[{metric}]: K={ks[0]}")
-    elif args.k_list:
-        ks = _parse_grid(args, stream)
-    else:
-        raise ValueError("validate needs --k-list or --at-gamma")
 
     rows = run_validation(stream, ks, max_samples=args.max_samples,
                           seed=args.seed, log=_log)

@@ -27,7 +27,9 @@ __all__ = [
     "scan_minimal_trips",
 ]
 
-_FLUSH_AT = 1 << 20
+# trips per trip-sink call, about; every call costs the occupancy fold
+# and the elongation sampler a merge with all they hold
+_CHUNK = 1 << 16
 # keep per-block DP state (3 arrays) under ~300 MB
 _MAX_STATE_ELEMENTS = 24_000_000
 
@@ -163,43 +165,51 @@ def _exact_sum(a):
                for i in range(0, a.size, chunk))
 
 
-class _EmissionBuffer:
-    """Batches (hops, duration) samples, reducing to exact key counts."""
+class _TripChunks:
+    """The DP's rows of trips, handed to ``trip_sink`` as flat int64
+    arrays (u, v, dep, arr, hops) of one length, about ``_CHUNK`` trips
+    per call; ``flush`` hands over the rest."""
+
+    def __init__(self, trip_sink, width):
+        self._sink = trip_sink
+        self._width = width  # a row holds at most one trip per column
+        self._new()
+
+    def _new(self):
+        self._bufs = np.empty((5, _CHUNK + self._width), dtype=np.int64)
+        self._size = 0
+
+    def add(self, u, v, dep, arr, hops):
+        lo = self._size
+        self._size = hi = lo + v.size
+        b = self._bufs
+        b[0, lo:hi] = u
+        b[1, lo:hi] = v
+        b[2, lo:hi] = dep
+        b[3, lo:hi] = arr
+        b[4, lo:hi] = hops
+        if hi >= _CHUNK:
+            self.flush()
+
+    def flush(self):
+        if self._size:
+            self._sink(*self._bufs[:, :self._size])
+            self._new()
+
+
+class _OccupancyFold:
+    """Trip sink folding (hops, duration) keys into exact sorted counts."""
 
     def __init__(self, snapshot_count):
         self._mult = np.int64(snapshot_count + 1)
-        self._keys = []
-        self._size = 0
-        self._partials = []
+        self.keys = self.counts = np.empty(0, dtype=np.int64)
 
-    def add(self, hops, durations):
-        if hops.size == 0:
-            return
-        self._keys.append(hops.astype(np.int64) * self._mult + durations)
-        self._size += hops.size
-        if self._size >= _FLUSH_AT:
-            self._flush()
-
-    def _flush(self):
-        if not self._keys:
-            return
-        keys = np.concatenate(self._keys)
-        self._keys = []
-        self._size = 0
-        uniq, cnt = np.unique(keys, return_counts=True)
-        self._partials.append((uniq, cnt.astype(np.int64)))
-
-    def result(self):
-        """(packed keys, counts) arrays of every flush; a key may repeat."""
-        self._flush()
-        return _concat_pairs(self._partials)
-
-
-def _concat_pairs(pairs):
-    """Concatenated (keys, counts) int64 arrays of (keys, counts) pairs."""
-    empty = np.empty(0, dtype=np.int64)
-    return (np.concatenate([empty] + [p[0] for p in pairs]),
-            np.concatenate([empty] + [p[1] for p in pairs]))
+    def __call__(self, u, v, dep, arr, hops):
+        # unique first: the merge then sorts two sorted runs
+        keys, counts = np.unique(hops * self._mult + arr - dep + 1,
+                                 return_counts=True)
+        self.keys, self.counts = _keyed_sum(np.concatenate([self.keys, keys]),
+                                            np.concatenate([self.counts, counts]))
 
 
 def _keyed_sum(keys, counts):
@@ -215,10 +225,10 @@ def _keyed_sum(keys, counts):
 def _sweep_columns(series, cols, trip_sink=None):
     """Backward DP over one block of destination columns.
 
-    Without ``trip_sink``, returns (packed emission keys, counts,
-    sum_d_time, sum_d_hops, finite_triples) with exact integer sums.
-    With it, only ``trip_sink`` sees the trips: no keys are counted, no
-    distance sums are kept, and None is returned.
+    Hands every trip to ``trip_sink`` in flat chunks and returns None.
+    Without ``trip_sink``, an :class:`_OccupancyFold` takes the trips and
+    (packed keys, counts, sum_d_time, sum_d_hops, finite_triples) is
+    returned, with exact integer sums.
     """
     n = series.node_count
     K = series.snapshot_count
@@ -235,7 +245,8 @@ def _sweep_columns(series, cols, trip_sink=None):
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
 
-    buf = _EmissionBuffer(K) if trip_sink is None else None
+    fold = _OccupancyFold(K) if trip_sink is None else None
+    chunks = _TripChunks(fold or trip_sink, C)
     sum_d_time = 0
     sum_d_hops = 0
     finite_triples = 0
@@ -286,7 +297,7 @@ def _sweep_columns(series, cols, trip_sink=None):
         # pass 2: close runs, emit improvements, write the k state
         for u, new_ea, new_hp in updates:
             old_ea = ea[u]
-            if buf is not None:
+            if trip_sink is None:
                 old_hp = hp[u]
                 changed = (new_ea != old_ea) | (new_hp != old_hp)
                 ch = np.nonzero(changed)[0]
@@ -307,16 +318,13 @@ def _sweep_columns(series, cols, trip_sink=None):
             else:
                 improved = np.nonzero(new_ea < old_ea)[0]
             if improved.size:
-                arr = new_ea[improved].astype(np.int64)
-                hops = new_hp[improved].astype(np.int64)
-                if buf is not None:
-                    buf.add(hops, arr - k + 1)
-                else:
-                    trip_sink(u, cols[improved], k, arr, hops)
+                chunks.add(u, cols[improved], k, new_ea[improved],
+                           new_hp[improved])
             ea[u] = new_ea
             hp[u] = new_hp
 
-    if buf is None:
+    chunks.flush()
+    if trip_sink is not None:
         return None
     # flush the final runs: the last state holds for departures 1..run_end
     for u in range(n):
@@ -331,8 +339,7 @@ def _sweep_columns(series, cols, trip_sink=None):
         sum_d_hops += _exact_sum(r * h)
         finite_triples += _exact_sum(r)
 
-    keys, counts = buf.result()
-    return keys, counts, sum_d_time, sum_d_hops, finite_triples
+    return fold.keys, fold.counts, sum_d_time, sum_d_hops, finite_triples
 
 
 def _column_blocks(n, cols):
@@ -374,18 +381,23 @@ def minimal_trip_sweep(series):
         agg.sum_d_time += sdt
         agg.sum_d_hops += sdh
         agg.finite_triples += fin
-    keys, counts = _concat_pairs([r[:2] for r in results])
+    keys = np.concatenate([r[0] for r in results])
+    counts = np.concatenate([r[1] for r in results])
     mult = series.snapshot_count + 1
     return OccupancyDistribution(keys // mult, keys % mult, counts), agg
 
 
 def scan_minimal_trips(series, trip_sink, sinks=None):
     """Feed every minimal trip toward ``sinks`` (all nodes by default) to
-    ``trip_sink(u, v_array, dep, arr_array, hops_array)``, keep nothing.
+    ``trip_sink(u, v, dep, arr, hops)``, keep nothing.
 
-    The DP of :func:`minimal_trip_sweep` without its products: no
-    occupancy distribution and no distance sums, for callers that want
-    the trips themselves.
+    Trip i of a call departs from node u[i] in snapshot dep[i] and
+    reaches node v[i] in snapshot arr[i] over hops[i] links. The five
+    arguments are flat int64 arrays of one length, many trips per call
+    in no particular order; the sink may keep them. This is the
+    DP of :func:`minimal_trip_sweep` without its products: no occupancy
+    distribution and no distance sums, for callers that want the trips
+    themselves.
     """
     cols = _sink_columns(series.node_count, sinks)
     for block in _column_blocks(series.node_count, cols):

@@ -272,8 +272,10 @@ def write_tsv(stream, fh=None):
     """Write the canonical TSV form of a stream; returns the text if fh is None.
 
     Timestamps are emitted on the original clock
-    (``t_origin + t * resolution``) so that re-parsing reproduces the
-    same normalized stream.
+    (``t_origin + t * resolution``), so re-parsing gives the same events
+    by label on the same clock. Node ids follow the order in which labels
+    first appear, which the written file (sorted by time) may change, so
+    the ids of the re-parsed stream can be permuted.
     """
     buf = fh if fh is not None else io.StringIO()
     res = stream.resolution

@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-# the stream pass flattens its sink batches this many calls at a time
-_FLATTEN_CALLS = 1 << 10
 
 
 def _sym_events(stream):
@@ -61,39 +59,6 @@ def _contains(sorted_keys, queries):
         return np.zeros(queries.size, dtype=bool)
     i = np.searchsorted(sorted_keys, queries)
     return sorted_keys[np.minimum(i, sorted_keys.size - 1)] == queries
-
-
-def _flatten(batches):
-    """(u, v, dep, arr) arrays from sink batches (u, dep, v_array, arr_array)."""
-    if not batches:
-        return (_EMPTY,) * 4
-    sizes = [b[2].size for b in batches]
-    u = np.repeat(np.array([b[0] for b in batches], dtype=np.int64), sizes)
-    dep = np.repeat(np.array([b[1] for b in batches], dtype=np.int64), sizes)
-    v = np.concatenate([b[2] for b in batches]).astype(np.int64, copy=False)
-    arr = np.concatenate([b[3] for b in batches]).astype(np.int64, copy=False)
-    return u, v, dep, arr
-
-
-class _Batches:
-    """Sink batches (u, dep, v_array, arr_array), flattened every
-    ``_FLATTEN_CALLS`` calls: a tuple of arrays per call costs more memory
-    than the few trips it holds."""
-
-    def __init__(self):
-        self._batches = []
-        self._flat = []
-
-    def append(self, batch):
-        self._batches.append(batch)
-        if len(self._batches) >= _FLATTEN_CALLS:
-            self._flat.append(_flatten(self._batches))
-            self._batches = []
-
-    def arrays(self):
-        """(u, v, dep, arr) arrays of every batch, in call order."""
-        parts = self._flat + [_flatten(self._batches)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _range_min(values, lo, hi):
@@ -205,28 +170,24 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
     """
     n = stream.node_count
     pair_keys = np.unique(np.asarray(pair_keys, dtype=np.int64))
-    sources = np.zeros(n, dtype=bool)
-    sources[pair_keys // n] = True
-    hop2, kept = _Batches(), _Batches()
+    hop2 = [(_EMPTY,) * 4]
+    kept = [(_EMPTY,) * 4]
 
-    def sink(u, v_nodes, dep, arrs, hops):
+    def sink(u, v, dep, arr, hops):
         if transitions:
             two = hops == 2
-            if two.any():
-                hop2.append((u, dep, v_nodes[two], arrs[two]))
-        if sources[u]:
-            hit = _contains(pair_keys, u * n + v_nodes)
-            if hit.any():
-                kept.append((u, dep, v_nodes[hit], arrs[hit]))
+            hop2.append((u[two], v[two], dep[two], arr[two]))
+        hit = _contains(pair_keys, u * n + v)
+        kept.append((u[hit], v[hit], dep[hit], arr[hit]))
 
     if transitions or pair_keys.size:
         scan_minimal_trips(aggregate(stream, stream.horizon), sink,
                            None if transitions else pair_keys % n)
     # series snapshot k holds instant k - 1
-    a, c, k1, k2 = hop2.arrays()
+    a, c, k1, k2 = (np.concatenate(x) for x in zip(*hop2))
     found = (_expand_transitions(stream, a, c, k1 - 1, k2 - 1)
              if transitions else None)
-    u, v, dep, arr = kept.arrays()
+    u, v, dep, arr = (np.concatenate(x) for x in zip(*kept))
     return found, int(a.size), _PairTrips(u, v, dep - 1, arr - 1, n,
                                           stream.horizon)
 
@@ -264,8 +225,6 @@ _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xC2B2AE3D27D4EB4F)
 _M3 = np.uint64(0x165667B19E3779F9)
 _M4 = np.uint64(0x27D4EB2F165667C5)
-# sink batches are hashed and filtered this many trips at a time
-_SAMPLER_BATCH = 1 << 16
 
 
 def _mix64(x):
@@ -301,21 +260,10 @@ class _TripSampler:
             raise ValueError("max_samples must be >= 0")
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.eligible = 0
-        self._batches = []
-        self._batched = 0
         self._kept = (_EMPTY,) * 4
         self._hash = np.empty(0, dtype=np.uint64)
 
-    def __call__(self, u, v_nodes, dep, arrs, hops):
-        self._batches.append((u, dep, v_nodes, arrs))
-        self._batched += arrs.size
-        if self._batched >= _SAMPLER_BATCH:
-            self._flush()
-
-    def _flush(self):
-        u, v, dep, arr = _flatten(self._batches)
-        self._batches = []
-        self._batched = 0
+    def __call__(self, u, v, dep, arr, hops):
         eligible = arr > dep
         u, v, dep, arr = u[eligible], v[eligible], dep[eligible], arr[eligible]
         self.eligible += int(u.size)
@@ -338,7 +286,6 @@ class _TripSampler:
             self._hash = self._hash[keep]
 
     def finish(self):
-        self._flush()
         threshold = _sample_threshold(self.max_samples, self.eligible)
         self._keep_below(threshold)
         order = np.lexsort(self._kept[::-1])

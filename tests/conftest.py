@@ -60,9 +60,9 @@ def scan_trips(series, sinks=None):
     of (u, v, dep, arr, hops), from :func:`scan_minimal_trips`."""
     trips = []
 
-    def sink(u, vs, dep, arrs, hops):
-        for v, a, h in zip(vs.tolist(), arrs.tolist(), hops.tolist()):
-            trips.append((u, v, dep, a, h))
+    def sink(u, v, dep, arr, hops):
+        trips.extend(zip(u.tolist(), v.tolist(), dep.tolist(), arr.tolist(),
+                         hops.tolist()))
 
     scan_minimal_trips(series, sink, sinks)
     return set(trips)

@@ -192,6 +192,25 @@ def test_unknown_metric_rejected_before_any_work(tmp_path, capsys):
         assert "K=" not in err
 
 
+def test_validate_without_k_rejected_before_loading(tmp_path, capsys):
+    code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.tsv"))
+    assert code == 2 and "needs --k-list or --at-gamma" in err
+
+
+def test_k_list_out_of_range_rejected_before_any_work(tmp_path, capsys):
+    f = tmp_path / "toy.tsv"
+    f.write_text("a b 0\nb c 1\na c 1999\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", "--input", str(f), "--k-list", "0,1000",
+                       "--out-dir", str(out_dir))
+    assert code == 2 and "--k-list value 0 is outside [1, 2000]" in err
+    assert "K=" not in err and not (out_dir / "report.json").exists()
+    code, _, err = run(capsys, "validate", "--input", str(f),
+                       "--k-list", "1000,2001")
+    assert code == 2 and "--k-list value 2001 is outside [1, 2000]" in err
+    assert "K=" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing --input

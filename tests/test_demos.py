@@ -1,12 +1,15 @@
-"""The demos import only names that the package has; nothing is run."""
+"""The demos import only names that the package has, and the toy demo,
+which defines a trip sink, runs."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_demos_found():
@@ -23,3 +26,9 @@ def test_demo_imports_resolve(path):
             for alias in node.names:
                 assert hasattr(module, alias.name), \
                     f"{path.name} imports {alias.name} from {node.module}"
+
+
+def test_toy_demo_runs(capsys):
+    runpy.run_path(str(DEMO_DIR / "01_toy_minimal_trips.py"), run_name="__main__")
+    assert "  a->c departs 1 arrives 2 hops=2 occupancy=2/2\n" \
+        in capsys.readouterr().out

@@ -5,15 +5,12 @@ fixed seeds of the other tests do not cover; every example is checked
 against the oracles or against a second parse.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from streamscale import validate  # noqa: E402
 from streamscale.stream import (LinkStream, parse_konect,  # noqa: E402
                                 parse_tsv, write_tsv)
 from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
@@ -108,20 +105,16 @@ def _two_pass_sample(trips, max_samples, seed):
        st.integers(0, 12), st.integers(0, 2**64 - 1), st.integers(1, 8),
        st.data())
 def test_one_pass_sampler_matches_two_pass_reference(raw, max_samples, seed,
-                                                      batch, data):
+                                                      chunk, data):
     trips = {(u, v, dep, dep + extra) for u, v, dep, extra in raw if u != v}
-    # the DP hands over trips of one source and one departure per call
-    calls = {}
-    for u, v, dep, arr in trips:
-        calls.setdefault((u, dep), []).append((v, arr))
-    order = data.draw(st.permutations(sorted(calls)))
+    # the DP hands over flat chunks of trips in any order
+    order = data.draw(st.permutations(sorted(trips)))
     sampler = _TripSampler(max_samples, seed)
-    with mock.patch.object(validate, "_SAMPLER_BATCH", batch):
-        for u, dep in order:
-            v, arr = zip(*calls[(u, dep)])
-            sampler(u, np.array(v, dtype=np.int64), dep,
-                    np.array(arr, dtype=np.int64), None)
-        got = sampler.finish()
+    for i in range(0, len(order), chunk):
+        u, v, dep, arr = (np.array(x, dtype=np.int64)
+                          for x in zip(*order[i:i + chunk]))
+        sampler(u, v, dep, arr, None)
+    got = sampler.finish()
     want, eligible, sampled = _two_pass_sample(trips, max_samples, seed)
     assert list(zip(*(x.tolist() for x in got.trips))) == want
     assert (got.eligible, got.sampled) == (eligible, sampled)

@@ -89,8 +89,9 @@ def test_sink_subset_restricts_destinations():
 
 
 def test_column_blocks_merge_exactly(monkeypatch):
-    # the DP splits columns only by its memory budget; shrink
-    # the budget so that every series runs in at least three blocks
+    # the DP splits columns only by its memory budget; shrink the budget
+    # so that every series runs in at least three blocks, and the chunk so
+    # that every row of trips reaches the sink, and the occupancy fold, alone
     rng = np.random.default_rng(6)
     checked = 0
     for _ in range(30):
@@ -100,6 +101,7 @@ def test_column_blocks_merge_exactly(monkeypatch):
         whole = collect_trips(series)
         with monkeypatch.context() as m:
             m.setattr(reach, "_MAX_STATE_ELEMENTS", 2 * n)
+            m.setattr(reach, "_CHUNK", 1)
             assert len(reach._column_blocks(n, np.arange(n))) >= 3
             split = collect_trips(series)
         assert split[0] == whole[0]

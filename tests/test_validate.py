@@ -125,9 +125,11 @@ def test_elongation_sampling_is_seeded_and_order_independent(monkeypatch):
     series = aggregate(stream, 10)
     kw = dict(max_samples=25, seed=3)
     r1 = mean_elongation(stream, series, **kw)
-    # more column blocks emit the same trips in another order
+    # more column blocks and smaller chunks hand over the same trips in
+    # another order
     with monkeypatch.context() as m:
         m.setattr(reach, "_MAX_STATE_ELEMENTS", 2 * stream.node_count)
+        m.setattr(reach, "_CHUNK", 3)
         r2 = mean_elongation(stream, series, **kw)
     assert r1.sampled and r2.sampled
     assert r1.samples == r2.samples
