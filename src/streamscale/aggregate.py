@@ -33,8 +33,8 @@ class GraphSeries:
         self.horizon = int(horizon)
         self.resolution = int(resolution)
         self.directed = bool(directed)
-        if self.snapshot_count < 1:
-            raise ValueError("snapshot_count must be >= 1")
+        if not 1 <= self.snapshot_count < 1 << 31:
+            raise ValueError("snapshot_count must be in [1, 2^31)")
 
         ek = np.asarray(ek, dtype=np.int64)
         eu = np.asarray(eu, dtype=np.int64)

@@ -41,10 +41,8 @@ def _log(msg):
 def _load_stream(args):
     path = Path(args.input)
     text = path.read_text(encoding="utf-8")
-    if args.format == "konect":
-        stream = parse_konect(text, directed=args.directed)
-    else:
-        stream = parse_tsv(text, directed=args.directed)
+    parse = parse_konect if args.format == "konect" else parse_tsv
+    stream = parse(text, directed=args.directed, resolution=args.resolution)
     if stream.self_loops_dropped:
         _log(f"dropped {stream.self_loops_dropped} self-loop event(s)")
     if stream.duplicates_dropped:
@@ -82,10 +80,18 @@ def _out_stream(path_str):
     return open(path_str, "w", encoding="utf-8"), True
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_input_opts(p):
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--format", choices=("tsv", "konect"), default="tsv")
     p.add_argument("--directed", action="store_true")
+    p.add_argument("--resolution", type=_positive_int, default=1,
+                   help="timestamp units per time step (default 1)")
 
 
 def _add_grid_opts(p):

@@ -1,16 +1,15 @@
 """Minimal trips, occupancy rates and temporal distances of a graph series.
 
-The core is a dynamic program that walks the snapshots backward: knowing
-the earliest arrival EA_{k+1}(u, v) and the minimum hop count
-H_{k+1}(u, v) of all trips departing not before snapshot k+1, snapshot
-k's edges update both in O(edges * destinations) work, giving O(n*M)
-total over a sweep. A minimal trip (u, v, k, EA_k(u, v)) is emitted
-exactly when the arrival strictly improves (EA_{k+1} > EA_k): a strictly
-included interval would require either a later departure with the same
-or earlier arrival, or an equal departure with an earlier arrival, and
-the latter is impossible by minimality of EA.
-
-Trips with u == v are never emitted; they carry no propagation meaning.
+The core is a dynamic program that walks the non-empty snapshots
+backward, keeping for every pair (u, v) the earliest arrival EA and the
+fewest hops H of the trips departing no earlier: packed into one int64
+key EA*(K+2) + H, "earliest, then fewest hops" is a plain minimum, and
+a snapshot is one numpy step over all its sources, O(edges *
+destinations) work, O(n*M) over a sweep. A minimal trip (u, v, k,
+EA_k(u, v)) is emitted exactly when the arrival strictly improves
+(EA_{k+1} > EA_k): a strictly included interval would need a later
+departure arriving no later, or the same departure arriving earlier,
+and EA is minimal. Trips with u == v are never emitted.
 """
 
 from __future__ import annotations
@@ -28,9 +27,12 @@ __all__ = [
 ]
 
 # trips per trip-sink call, about; every call costs the occupancy fold
-# and the elongation sampler a merge with all they hold
+# a merge with all it holds
 _CHUNK = 1 << 16
-# keep per-block DP state (3 arrays) under ~300 MB
+# elements of every per-snapshot temporary of the DP, about: rows of
+# out-neighbors gathered at once, and rows compared, emitted and summed
+_BLOCK_ELEMENTS = 1 << 16
+# keep per-block DP state (int64 key, int32 run end) under ~300 MB
 _MAX_STATE_ELEMENTS = 24_000_000
 
 
@@ -151,14 +153,14 @@ class DistanceAggregates:
         return self.finite_triples / denom
 
 
-def _exact_sum(a):
-    """Sum an int64 array into a Python int without overflow."""
+def _exact_sum(a, bound=None):
+    """Sum an int64 array into a Python int without overflow; ``bound``,
+    a known bound on ``|a|``, skips the check when it rules overflow out."""
     if a.size == 0:
         return 0
-    m = int(np.abs(a).max())
-    if m == 0:
-        return 0
-    chunk = max(1, (1 << 62) // (m + 1))
+    if bound is not None and bound * a.size < 1 << 63:
+        return int(a.sum(dtype=np.int64))
+    chunk = max(1, (1 << 62) // (int(np.abs(a).max()) + 1))
     if chunk >= a.size:
         return int(a.sum(dtype=np.int64))
     return sum(int(a[i:i + chunk].sum(dtype=np.int64))
@@ -166,20 +168,22 @@ def _exact_sum(a):
 
 
 class _TripChunks:
-    """The DP's rows of trips, handed to ``trip_sink`` as flat int64
+    """The DP's blocks of trips, handed to ``trip_sink`` as flat int64
     arrays (u, v, dep, arr, hops) of one length, about ``_CHUNK`` trips
     per call; ``flush`` hands over the rest."""
 
     def __init__(self, trip_sink, width):
         self._sink = trip_sink
-        self._width = width  # a row holds at most one trip per column
+        self._cap = max(_CHUNK, width)  # width: the most trips of one add
         self._new()
 
     def _new(self):
-        self._bufs = np.empty((5, _CHUNK + self._width), dtype=np.int64)
+        self._bufs = np.empty((5, self._cap), dtype=np.int64)
         self._size = 0
 
     def add(self, u, v, dep, arr, hops):
+        if self._size + v.size > self._cap:
+            self.flush()
         lo = self._size
         self._size = hi = lo + v.size
         b = self._bufs
@@ -194,6 +198,7 @@ class _TripChunks:
     def flush(self):
         if self._size:
             self._sink(*self._bufs[:, :self._size])
+            self._bufs = None  # freed before the next buffer, unless kept
             self._new()
 
 
@@ -225,121 +230,114 @@ def _keyed_sum(keys, counts):
 def _sweep_columns(series, cols, trip_sink=None):
     """Backward DP over one block of destination columns.
 
+    The state is one int64 key per (node, column), ``ea*B + hops`` with
+    B = K+2, and ``(K+1)*B`` where nothing is reachable. A non-empty
+    snapshot k is one vector step: the out-neighbors' rows reduced per
+    source by ``minimum.reduceat``, plus one hop, the direct edges
+    (``k*B + 1``) and the diagonal reset, then the minimum with the
+    sources' own rows, written back after all of them read the k+1
+    state. A changed key closes a run of equal state (``run_end``); an
+    earlier arrival emits a minimal trip.
+
     Hands every trip to ``trip_sink`` in flat chunks and returns None.
     Without ``trip_sink``, an :class:`_OccupancyFold` takes the trips and
     (packed keys, counts, sum_d_time, sum_d_hops, finite_triples) is
     returned, with exact integer sums.
     """
-    n = series.node_count
-    K = series.snapshot_count
-    dtype = np.int32 if K + 1 < np.iinfo(np.int32).max else np.int64
-    sentinel = dtype(K + 1)
-    # never survives a minimum: at least one option always attains new_ea
-    hop_inf = dtype(np.iinfo(dtype).max)
-    C = cols.size
-
-    ea = np.full((n, C), sentinel, dtype=dtype)
-    hp = np.zeros((n, C), dtype=dtype)
-    run_end = np.full((n, C), K, dtype=dtype)
-
+    n, K, C = series.node_count, series.snapshot_count, cols.size
+    B = K + 2
+    sentinel = (K + 1) * B  # below 2^63 for K < 2^31
+    key = np.full((n, C), sentinel, dtype=np.int64)
+    summarize = trip_sink is None
+    run_end = np.full(n * C, K, dtype=np.int32) if summarize else None
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
+    step = max(1, _BLOCK_ELEMENTS // C)  # edges per gather, rows per block
+    fold = _OccupancyFold(K) if summarize else None
+    chunks = _TripChunks(fold or trip_sink, step * C)
+    sums = [0, 0, 0]  # sum_d_time, sum_d_hops, finite_triples
 
-    fold = _OccupancyFold(K) if trip_sink is None else None
-    chunks = _TripChunks(fold or trip_sink, C)
-    sum_d_time = 0
-    sum_d_hops = 0
-    finite_triples = 0
+    def add_runs(a, h, r, k):
+        """Close runs of finite arrival a, hops h over departures k+1..r."""
+        cnt = r - k  # every term below is at most K*K
+        for j, term in enumerate((cnt * (2 * (a + 1) - (k + 1 + r)) // 2,
+                                  cnt * h, cnt)):
+            sums[j] += _exact_sum(term, K * K)
 
-    snaps = series._s_snap
-    starts = series._s_start
-    su, sv = series.su, series.sv
+    # offsets into the (k, source)-sorted edges, computed once: a group is
+    # one source of one snapshot, rows are numbered within the snapshot
+    su, sv, e_off = series.su, series.sv, series._s_start
+    first = np.flatnonzero(np.diff(series.sk, prepend=-1) | np.diff(su, prepend=-1))
+    g_src = su[first]
+    g_off = np.searchsorted(first, e_off)
+    g_snap = np.repeat(np.arange(g_off.size - 1), np.diff(g_off))
+    g_local = first - e_off[g_snap]
+    g_row = np.arange(first.size) - g_off[g_snap]
+    hit = colmap[sv] >= 0  # direct edges into the swept columns
+    d_row = np.repeat(g_row, np.diff(np.r_[first, su.size]))[hit]
+    d_col, d_off = colmap[sv[hit]], np.r_[0, np.cumsum(hit)][e_off]
+    hit = colmap[g_src] >= 0  # sources whose own column is swept
+    z_row, z_col = g_row[hit], colmap[g_src[hit]]
+    z_off = np.r_[0, np.cumsum(hit)][g_off]
 
+    snaps, e_off, g_off, d_off, z_off = (
+        x.tolist() for x in (series._s_snap, e_off, g_off, d_off, z_off))
     for i in range(len(snaps) - 1, -1, -1):
-        k = int(snaps[i])
-        lo, hi = starts[i], starts[i + 1]
-        src = su[lo:hi]
-        dst = sv[lo:hi]
-        sources, g_start = np.unique(src, return_index=True)
-        g_end = np.append(g_start[1:], src.size)
+        k = snaps[i]
+        dst = sv[e_off[i]:e_off[i + 1]]
+        sources = g_src[g_off[i]:g_off[i + 1]]
+        starts = g_local[g_off[i]:g_off[i + 1]]
+        if dst.size <= step:  # one gather, the common case
+            new = key[dst]
+            if sources.size < dst.size:
+                new = np.minimum.reduceat(new, starts, axis=0)
+        else:  # gather the out-neighbors' rows ``step`` at a time
+            new = np.full((sources.size, C), sentinel, dtype=np.int64)
+            for lo in range(0, dst.size, step):
+                r0 = int(starts.searchsorted(lo, "right")) - 1
+                r1 = int(starts.searchsorted(lo + step))
+                seg = starts[r0:r1] - lo
+                seg[0] = 0
+                part = np.minimum.reduceat(key[dst[lo:lo + step]], seg, axis=0)
+                np.minimum(new[r0:r1], part, out=new[r0:r1])
+        new += 1
+        # both writes commute with the minimum against the old rows: a
+        # direct edge beats every later arrival, old diagonals are sentinels
+        new[d_row[d_off[i]:d_off[i + 1]], d_col[d_off[i]:d_off[i + 1]]] = k * B + 1
+        new[z_row[z_off[i]:z_off[i + 1]], z_col[z_off[i]:z_off[i + 1]]] = sentinel
 
-        # pass 1: compute every updated row from the k+1 state
-        updates = []
-        for s_idx in range(sources.size):
-            u = int(sources[s_idx])
-            targets = dst[g_start[s_idx]:g_end[s_idx]]
-            old_ea = ea[u]
-            old_hp = hp[u]
-            if targets.size == 1:
-                w = int(targets[0])
-                relay_ea = ea[w]
-                relay_hp = hp[w] + dtype(1)
-            else:
-                rows_ea = ea[targets]
-                relay_ea = rows_ea.min(axis=0)
-                relay_hp = np.where(rows_ea == relay_ea, hp[targets],
-                                    hop_inf).min(axis=0) + dtype(1)
-            new_ea = np.minimum(old_ea, relay_ea)
-            new_hp = np.where(old_ea == new_ea, old_hp, hop_inf)
-            np.minimum(new_hp, np.where(relay_ea == new_ea, relay_hp, hop_inf),
-                       out=new_hp)
-            tcols = colmap[targets]
-            tcols = tcols[tcols >= 0]
-            if tcols.size:
-                new_ea[tcols] = dtype(k)
-                new_hp[tcols] = dtype(1)
-            diag = colmap[u]
-            if diag >= 0:
-                new_ea[diag] = sentinel
-                new_hp[diag] = dtype(0)
-            updates.append((u, new_ea, new_hp))
-
-        # pass 2: close runs, emit improvements, write the k state
-        for u, new_ea, new_hp in updates:
-            old_ea = ea[u]
-            if trip_sink is None:
-                old_hp = hp[u]
-                changed = (new_ea != old_ea) | (new_hp != old_hp)
-                ch = np.nonzero(changed)[0]
-                if ch.size == 0:
-                    continue
-                old_ea_ch = old_ea[ch].astype(np.int64)
-                fin = old_ea_ch != int(sentinel)
-                if fin.any():
-                    a = old_ea_ch[fin]
-                    h = old_hp[ch][fin].astype(np.int64)
-                    r = run_end[u][ch][fin].astype(np.int64)
-                    cnt = r - k
-                    sum_d_time += _exact_sum(cnt * (2 * (a + 1) - (k + 1 + r)) // 2)
-                    sum_d_hops += _exact_sum(cnt * h)
-                    finite_triples += _exact_sum(cnt)
-                run_end[u][ch] = dtype(k)
-                improved = ch[new_ea[ch].astype(np.int64) < old_ea_ch]
-            else:
-                improved = np.nonzero(new_ea < old_ea)[0]
-            if improved.size:
-                chunks.add(u, cols[improved], k, new_ea[improved],
-                           new_hp[improved])
-            ea[u] = new_ea
-            hp[u] = new_hp
+        for r0 in range(0, sources.size, step):  # blocks of rows
+            rows = sources[r0:r0 + step]
+            old = key[rows].reshape(-1)
+            cur = new[r0:r0 + step].reshape(-1)
+            np.minimum(cur, old, out=cur)
+            ch = (cur < old).nonzero()[0]
+            if ch.size == 0:
+                continue
+            was, now = old[ch], cur[ch]
+            q, c = np.divmod(ch, C)
+            if summarize:
+                at = rows[q] * C + c
+                fin = was < sentinel
+                a = was[fin] // B
+                add_runs(a, was[fin] - a * B, run_end[at[fin]].astype(np.int64), k)
+                run_end[at] = k
+            arr = now // B
+            em = (arr < was // B).nonzero()[0]
+            if em.size:
+                chunks.add(rows[q[em]], cols[c[em]], k, arr[em], now[em] - arr[em] * B)
+        key[sources] = new
 
     chunks.flush()
-    if trip_sink is not None:
+    if not summarize:
         return None
-    # flush the final runs: the last state holds for departures 1..run_end
-    for u in range(n):
-        row_ea = ea[u].astype(np.int64)
-        fin = np.nonzero(row_ea != int(sentinel))[0]
-        if fin.size == 0:
-            continue
-        a = row_ea[fin]
-        h = hp[u][fin].astype(np.int64)
-        r = run_end[u][fin].astype(np.int64)
-        sum_d_time += _exact_sum(r * (2 * (a + 1) - (1 + r)) // 2)
-        sum_d_hops += _exact_sum(r * h)
-        finite_triples += _exact_sum(r)
-
-    return fold.keys, fold.counts, sum_d_time, sum_d_hops, finite_triples
+    # close the final runs: the last state holds for departures 1..run_end
+    flat = key.reshape(-1)
+    for lo in range(0, flat.size, step * C):
+        fin = lo + (flat[lo:lo + step * C] < sentinel).nonzero()[0]
+        a = flat[fin] // B
+        add_runs(a, flat[fin] - a * B, run_end[fin].astype(np.int64), 0)
+    return (fold.keys, fold.counts, *sums)
 
 
 def _column_blocks(n, cols):

@@ -247,10 +247,10 @@ class _TripSampler:
     A trip is eligible when it spans more than one snapshot, and is kept
     when a hash of its identity falls under the threshold of the final
     eligible count, so the sample does not depend on the emission order
-    of the sweep. Until that count is known, trips are filtered by the
-    threshold of the count so far, which only falls as the count grows:
-    nothing of the final sample is dropped, and about 2*max_samples
-    trips are held at most. ``finish`` sets ``trips`` (u, v, dep, arr),
+    of the sweep. Chunks are held as they come; once they hold more than
+    2*max_samples trips they are merged and filtered by the threshold of
+    the count so far, which only falls as the count grows: nothing of the
+    final sample is dropped. ``finish`` sets ``trips`` (u, v, dep, arr),
     sorted, and ``sampled``.
     """
 
@@ -260,8 +260,8 @@ class _TripSampler:
             raise ValueError("max_samples must be >= 0")
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.eligible = 0
-        self._kept = (_EMPTY,) * 4
-        self._hash = np.empty(0, dtype=np.uint64)
+        self._parts = [(_EMPTY,) * 4 + (np.empty(0, dtype=np.uint64),)]
+        self._held = 0
 
     def __call__(self, u, v, dep, arr, hops):
         eligible = arr > dep
@@ -273,23 +273,26 @@ class _TripSampler:
                    ^ dep.astype(np.uint64) * _M3
                    ^ arr.astype(np.uint64) * _M4)
             hashed = _mix64(key ^ self.seed)
-        self._kept = tuple(np.concatenate([old, new]) for old, new
-                           in zip(self._kept, (u, v, dep, arr)))
-        self._hash = np.concatenate([self._hash, hashed])
-        if self._hash.size > 2 * self.max_samples:
+        self._parts.append((u, v, dep, arr, hashed))
+        self._held += int(u.size)
+        if self._held > 2 * self.max_samples:
             self._keep_below(_sample_threshold(self.max_samples, self.eligible))
 
     def _keep_below(self, threshold):
+        """Merge the held parts into one, keeping hashes under ``threshold``."""
+        *kept, hashed = (np.concatenate(x) for x in zip(*self._parts))
         if threshold is not None:
-            keep = self._hash < np.uint64(threshold)
-            self._kept = tuple(x[keep] for x in self._kept)
-            self._hash = self._hash[keep]
+            keep = hashed < np.uint64(threshold)
+            kept, hashed = [x[keep] for x in kept], hashed[keep]
+        self._parts = [(*kept, hashed)]
+        self._held = int(hashed.size)
 
     def finish(self):
         threshold = _sample_threshold(self.max_samples, self.eligible)
         self._keep_below(threshold)
-        order = np.lexsort(self._kept[::-1])
-        self.trips = tuple(x[order] for x in self._kept)
+        kept = self._parts[0][:4]
+        order = np.lexsort(kept[::-1])
+        self.trips = tuple(x[order] for x in kept)
         self.sampled = threshold is not None
         return self
 

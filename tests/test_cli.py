@@ -252,6 +252,24 @@ def test_timestamp_span_beyond_64_bits_exits_2(tmp_path, capsys):
     assert "horizon does not fit 31 bits" in err
 
 
+def test_resolution_option_loads_wide_spans(tmp_path, capsys):
+    # 3*10^9 units do not fit the 31-bit horizon at resolution 1
+    f = tmp_path / "wide.tsv"
+    f.write_text("a b 0\nb c 1500000000\na c 3000000000\n")
+    code, out, err = run(capsys, "summary", "--input", str(f))
+    assert code == 2 and out == ""
+    assert "use a coarser resolution" in err
+    code, out, _ = run(capsys, "summary", "--input", str(f),
+                       "--resolution", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["resolution"], doc["horizon"]) == (1000, 3_000_001)
+    for bad in ("0", "-5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["summary", "--input", str(f), "--resolution", bad])
+        assert exc.value.code == 1
+
+
 def test_report_golden_toy(tmp_path, capsys):
     # schema-stability golden: exact values for a frozen 3-event toy
     f = tmp_path / "toy.tsv"

@@ -1,9 +1,12 @@
-"""Property tests of the validation fast paths and of input parsing.
+"""Property tests of the minimal-trip DP, the validation fast paths and
+input parsing.
 
-Hypothesis draws small streams, queries and edge-list files that the
-fixed seeds of the other tests do not cover; every example is checked
-against the oracles or against a second parse.
+Hypothesis draws small series, streams, queries and edge-list files that
+the fixed seeds of the other tests do not cover; every example is
+checked against the oracles or against a second parse.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,16 +14,66 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from streamscale import reach  # noqa: E402
+from streamscale.aggregate import GraphSeries  # noqa: E402
 from streamscale.stream import (LinkStream, parse_konect,  # noqa: E402
                                 parse_tsv, write_tsv)
 from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
                                   enumerate_shortest_transitions)
 
-from oracles import (stream_earliest_arrival,  # noqa: E402
+from conftest import collect_trips  # noqa: E402
+from oracles import (series_distance_sums,  # noqa: E402
+                     series_minimal_trips, stream_earliest_arrival,
                      stream_shortest_transitions)
 
 HORIZON = 15
 MASK = (1 << 64) - 1
+
+
+@st.composite
+def series_cases(draw, max_n=7, max_k=6):
+    """(series, snapshots, n, directed) of a small series whose sources
+    often have several out-neighbors in one snapshot."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, max_n))
+    K = draw(st.integers(1, max_k))
+    node = st.integers(0, n - 1)
+    stars = draw(st.lists(st.tuples(st.integers(1, K), node,
+                                    st.lists(node, min_size=1, max_size=n)),
+                          max_size=8))
+    edges = set()
+    for k, u, targets in stars:
+        for v in targets:
+            if u != v:
+                edges.add((k, u, v) if directed else (k, min(u, v), max(u, v)))
+    snapshots = [[] for _ in range(K)]
+    for k, u, v in sorted(edges):
+        snapshots[k - 1].append((u, v))
+    series = GraphSeries.from_snapshots(snapshots, node_count=n,
+                                        directed=directed)
+    return series, snapshots, n, directed
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_cases(), st.sampled_from([1, 4, 6]))
+def test_dp_matches_oracles_property(case, bound):
+    # once as is, once with every size constant shrunk: two-column blocks,
+    # a trip chunk of one, and gathers and row blocks of ``bound``
+    # elements, so that gathers split inside and across sources
+    series, snapshots, n, directed = case
+    trips = series_minimal_trips(snapshots, directed)
+    occupancy = Counter((h, arr - dep + 1) for _, _, dep, arr, h in trips)
+    sums = series_distance_sums(snapshots, n, directed)
+    for shrink in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if shrink:
+                m.setattr(reach, "_MAX_STATE_ELEMENTS", 2 * n)
+                m.setattr(reach, "_CHUNK", 1)
+                m.setattr(reach, "_BLOCK_ELEMENTS", bound)
+            got, dist, agg = collect_trips(series)
+        assert got == trips
+        assert dict(dist.items()) == occupancy
+        assert (agg.sum_d_time, agg.sum_d_hops, agg.finite_triples) == sums
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from streamscale import reach
 from streamscale.aggregate import GraphSeries, aggregate
-from streamscale.reach import OccupancyDistribution
+from streamscale.reach import OccupancyDistribution, minimal_trip_sweep
 from streamscale.stream import LinkStream
 
 from conftest import collect_trips, random_series, random_stream, scan_trips
@@ -90,8 +91,10 @@ def test_sink_subset_restricts_destinations():
 
 def test_column_blocks_merge_exactly(monkeypatch):
     # the DP splits columns only by its memory budget; shrink the budget
-    # so that every series runs in at least three blocks, and the chunk so
-    # that every row of trips reaches the sink, and the occupancy fold, alone
+    # so that every series runs in at least three blocks, the chunk so
+    # that every block of trips reaches the sink, and the occupancy fold,
+    # alone, and the per-snapshot bound so that gathers and row blocks
+    # split too
     rng = np.random.default_rng(6)
     checked = 0
     for _ in range(30):
@@ -102,6 +105,7 @@ def test_column_blocks_merge_exactly(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(reach, "_MAX_STATE_ELEMENTS", 2 * n)
             m.setattr(reach, "_CHUNK", 1)
+            m.setattr(reach, "_BLOCK_ELEMENTS", 4)
             assert len(reach._column_blocks(n, np.arange(n))) >= 3
             split = collect_trips(series)
         assert split[0] == whole[0]
@@ -111,6 +115,65 @@ def test_column_blocks_merge_exactly(monkeypatch):
             (whole[2].sum_d_time, whole[2].sum_d_hops, whole[2].finite_triples)
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("K", [4, 2**31 - 2])
+def test_key_packing_at_the_largest_k(K):
+    # keys are ea*(K+2) + hops: at K = 2^31 - 2 the sentinel (K+1)*(K+2)
+    # is near 2^62. Edges 0->1 in 1, 1->2 in 2, 2->0 in K-1, 0->1 in K;
+    # only the non-empty snapshots are walked, so any K is cheap
+    series = GraphSeries([1, 2, K - 1, K], [0, 1, 2, 0], [1, 2, 0, 1],
+                         snapshot_count=K, node_count=3, horizon=K,
+                         directed=True)
+    assert scan_trips(series) == {
+        (0, 1, 1, 1, 1), (0, 1, K, K, 1), (1, 2, 2, 2, 1), (0, 2, 1, 2, 2),
+        (2, 0, K - 1, K - 1, 1), (2, 1, K - 1, K, 2), (1, 0, 2, K - 1, 2)}
+    dist, agg = minimal_trip_sweep(series)
+    assert dist == OccupancyDistribution([1, 1, 1, 1, 2, 2, 2],
+                                         [1, 1, 1, 1, 2, 2, K - 2])
+    # per pair over departures 1..K: (0,1) arrives 1 from 1, K from 2..K;
+    # (1,2) 2 from 1..2; (0,2) 2 from 1; (2,0) K-1 from 1..K-1; (2,1) K
+    # from 1..K-1 on two hops; (1,0) K-1 from 1..2 on two hops
+    d_time = ((1 + K * (K - 1) // 2) + 3 + 2 + K * (K - 1) // 2
+              + (K * (K + 1) // 2 - 1) + (2 * K - 3))
+    d_hops = K + 2 + 2 + (K - 1) + 2 * (K - 1) + 4
+    finite = K + 2 + 1 + (K - 1) + (K - 1) + 2
+    assert (agg.sum_d_time, agg.sum_d_hops, agg.finite_triples) == \
+        (d_time, d_hops, finite)
+    if K < 10:
+        snapshots = [[] for _ in range(K)]
+        for k, u, v in zip(series.ek.tolist(), series.eu.tolist(),
+                           series.ev.tolist()):
+            snapshots[k - 1].append((u, v))
+        assert (d_time, d_hops, finite) == \
+            series_distance_sums(snapshots, 3, True)
+        assert scan_trips(series) == series_minimal_trips(snapshots, True)
+
+
+def test_dp_memory_stays_near_its_state():
+    # one dense snapshot: 400 sources with 20 out-neighbors each. The DP
+    # state is 12 bytes per (node, column), the snapshot's new rows 8 at
+    # most; the other temporaries are bounded by _BLOCK_ELEMENTS, the
+    # trip buffer by _CHUNK. Gathering every edge's row at once (26 MB
+    # here), or comparing every source's row at once (+4.7 MB), would not
+    # fit
+    n = 400
+    rng = np.random.default_rng(0)
+    u = np.repeat(np.arange(n), 20)
+    v = (u + rng.integers(1, n, size=u.size)) % n
+    series = GraphSeries(np.ones(u.size, dtype=np.int64), u, v,
+                         snapshot_count=1, node_count=n, horizon=1,
+                         directed=True)
+    state = n * n * 12
+    bound = 8 * (4 * reach._BLOCK_ELEMENTS + 5 * reach._CHUNK)
+    tracemalloc.start()
+    try:
+        dist, _ = minimal_trip_sweep(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total >= series.su.size
+    assert peak < 2 * state + bound
 
 
 def test_scan_emits_the_sweep_trips():
