@@ -220,6 +220,8 @@ def cmd_validate(args):
     metric, slots = _checked_metric(args, allow_all=False)
     if not (args.at_gamma or args.k_list):
         raise ValueError("validate needs --k-list or --at-gamma")
+    if args.max_samples < 0:
+        raise ValueError("max_samples must be >= 0")
     stream, _ = _load_stream(args)
     ks = _parse_grid(args, stream)
     if args.at_gamma:

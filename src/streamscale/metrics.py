@@ -125,8 +125,9 @@ def shannon_entropy(dist, slots=10):
         raise ValueError("slots must be >= 2")
     p, q, weights, _ = _rate_arrays(dist)
     idx = (p * slots + q - 1) // q  # exact ceil(p*slots/q)
-    masses = np.bincount(idx, weights=weights)
-    masses = masses[masses > 0] / dist.total
+    masses = np.zeros(slots + 1, dtype=np.int64)
+    np.add.at(masses, idx, weights)  # exact; int / int below rounds once
+    masses = np.array([m / dist.total for m in masses.tolist() if m])
     return float(-np.sum(masses * np.log(masses)))
 
 

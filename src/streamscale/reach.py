@@ -9,7 +9,9 @@ destinations) work, O(n*M) over a sweep. A minimal trip (u, v, k,
 EA_k(u, v)) is emitted exactly when the arrival strictly improves
 (EA_{k+1} > EA_k): a strictly included interval would need a later
 departure arriving no later, or the same departure arriving earlier,
-and EA is minimal. Trips with u == v are never emitted.
+and EA is minimal. Trips with u == v are never emitted. Distance sums
+come from running totals of the finite keys' arrivals and hops, counted
+once per departure snapshot the state holds for.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ _CHUNK = 1 << 16
 # elements of every per-snapshot temporary of the DP, about: rows of
 # out-neighbors gathered at once, and rows compared, emitted and summed
 _BLOCK_ELEMENTS = 1 << 16
-# keep per-block DP state (int64 key, int32 run end) under ~300 MB
+# keep per-block DP state (one int64 key per cell) under ~190 MB
 _MAX_STATE_ELEMENTS = 24_000_000
 
 
@@ -118,8 +120,8 @@ class OccupancyDistribution:
 class DistanceAggregates:
     """Exact integer accumulators for the distance curves.
 
-    Sums run over all ordered pairs (u, v), v in the swept sink set,
-    u != v, and all departure snapshots k with finite earliest arrival.
+    Sums run over all ordered pairs (u, v) of distinct nodes and all
+    departure snapshots k with finite earliest arrival.
     """
 
     sum_d_time: int = 0
@@ -153,13 +155,10 @@ class DistanceAggregates:
         return self.finite_triples / denom
 
 
-def _exact_sum(a, bound=None):
-    """Sum an int64 array into a Python int without overflow; ``bound``,
-    a known bound on ``|a|``, skips the check when it rules overflow out."""
+def _exact_sum(a):
+    """Sum an int64 array into a Python int without overflow."""
     if a.size == 0:
         return 0
-    if bound is not None and bound * a.size < 1 << 63:
-        return int(a.sum(dtype=np.int64))
     chunk = max(1, (1 << 62) // (int(np.abs(a).max()) + 1))
     if chunk >= a.size:
         return int(a.sum(dtype=np.int64))
@@ -203,18 +202,25 @@ class _TripChunks:
 
 
 class _OccupancyFold:
-    """Trip sink folding (hops, duration) keys into exact sorted counts."""
+    """Trip sink folding (hops, duration) keys into exact sorted counts:
+    holds each chunk's distinct keys and merges all it holds once that is
+    twice what the last merge left; ``result`` merges the rest."""
 
     def __init__(self, snapshot_count):
         self._mult = np.int64(snapshot_count + 1)
-        self.keys = self.counts = np.empty(0, dtype=np.int64)
+        self._parts = [(np.empty(0, dtype=np.int64),) * 2]
+        self._merged = 0
 
     def __call__(self, u, v, dep, arr, hops):
-        # unique first: the merge then sorts two sorted runs
-        keys, counts = np.unique(hops * self._mult + arr - dep + 1,
-                                 return_counts=True)
-        self.keys, self.counts = _keyed_sum(np.concatenate([self.keys, keys]),
-                                            np.concatenate([self.counts, counts]))
+        self._parts.append(np.unique(hops * self._mult + arr - dep + 1,
+                                     return_counts=True))
+        if sum(p[0].size for p in self._parts) > 2 * self._merged:
+            self._parts = [self.result()]
+            self._merged = self._parts[0][0].size
+
+    def result(self):
+        """(keys, counts): sorted distinct packed keys and their counts."""
+        return _keyed_sum(*(np.concatenate(x) for x in zip(*self._parts)))
 
 
 def _keyed_sum(keys, counts):
@@ -236,33 +242,26 @@ def _sweep_columns(series, cols, trip_sink=None):
     source by ``minimum.reduceat``, plus one hop, the direct edges
     (``k*B + 1``) and the diagonal reset, then the minimum with the
     sources' own rows, written back after all of them read the k+1
-    state. A changed key closes a run of equal state (``run_end``); an
-    earlier arrival emits a minimal trip.
+    state. A key only falls, and a lower arrival emits a minimal trip.
 
     Hands every trip to ``trip_sink`` in flat chunks and returns None.
     Without ``trip_sink``, an :class:`_OccupancyFold` takes the trips and
     (packed keys, counts, sum_d_time, sum_d_hops, finite_triples) is
-    returned, with exact integer sums.
+    returned, exact: each changed block updates running totals over the
+    finite keys, added once per departure their state holds for.
     """
     n, K, C = series.node_count, series.snapshot_count, cols.size
     B = K + 2
     sentinel = (K + 1) * B  # below 2^63 for K < 2^31
     key = np.full((n, C), sentinel, dtype=np.int64)
     summarize = trip_sink is None
-    run_end = np.full(n * C, K, dtype=np.int32) if summarize else None
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
     step = max(1, _BLOCK_ELEMENTS // C)  # edges per gather, rows per block
     fold = _OccupancyFold(K) if summarize else None
     chunks = _TripChunks(fold or trip_sink, step * C)
+    ea_sum = hop_sum = finite = 0  # arrivals, hops, count of finite keys
     sums = [0, 0, 0]  # sum_d_time, sum_d_hops, finite_triples
-
-    def add_runs(a, h, r, k):
-        """Close runs of finite arrival a, hops h over departures k+1..r."""
-        cnt = r - k  # every term below is at most K*K
-        for j, term in enumerate((cnt * (2 * (a + 1) - (k + 1 + r)) // 2,
-                                  cnt * h, cnt)):
-            sums[j] += _exact_sum(term, K * K)
 
     # offsets into the (k, source)-sorted edges, computed once: a group is
     # one source of one snapshot, rows are numbered within the snapshot
@@ -315,29 +314,27 @@ def _sweep_columns(series, cols, trip_sink=None):
             if ch.size == 0:
                 continue
             was, now = old[ch], cur[ch]
-            q, c = np.divmod(ch, C)
-            if summarize:
-                at = rows[q] * C + c
-                fin = was < sentinel
-                a = was[fin] // B
-                add_runs(a, was[fin] - a * B, run_end[at[fin]].astype(np.int64), k)
-                run_end[at] = k
-            arr = now // B
-            em = (arr < was // B).nonzero()[0]
+            arr, wa = now // B, was // B
+            if summarize:  # a sentinel reads as arrival K+1 with 0 hops
+                # each block sum stays below (block elements)*(K+1) < 2^63
+                born = int(np.count_nonzero(was == sentinel))
+                ea_sum += int((arr - wa).sum()) + (K + 1) * born
+                hop_sum += int((now - arr * B).sum()) - int((was - wa * B).sum())
+                finite += born
+            em = (arr < wa).nonzero()[0]
             if em.size:
-                chunks.add(rows[q[em]], cols[c[em]], k, arr[em], now[em] - arr[em] * B)
+                q, c = np.divmod(ch[em], C)
+                chunks.add(rows[q], cols[c], k, arr[em], now[em] - arr[em] * B)
         key[sources] = new
+        if summarize:  # this state holds for departures prev+1..k
+            prev = snaps[i - 1] if i else 0
+            span = k - prev
+            sums[0] += span * ea_sum - finite * (prev + k - 1) * span // 2
+            sums[1] += span * hop_sum
+            sums[2] += span * finite
 
     chunks.flush()
-    if not summarize:
-        return None
-    # close the final runs: the last state holds for departures 1..run_end
-    flat = key.reshape(-1)
-    for lo in range(0, flat.size, step * C):
-        fin = lo + (flat[lo:lo + step * C] < sentinel).nonzero()[0]
-        a = flat[fin] // B
-        add_runs(a, flat[fin] - a * B, run_end[fin].astype(np.int64), 0)
-    return (fold.keys, fold.counts, *sums)
+    return (*fold.result(), *sums) if summarize else None
 
 
 def _column_blocks(n, cols):
@@ -369,18 +366,13 @@ def minimal_trip_sweep(series):
     Returns (OccupancyDistribution, DistanceAggregates).
     """
     n = series.node_count
-    results = [_sweep_columns(series, b)
-               for b in _column_blocks(n, np.arange(n, dtype=np.int64))]
-
-    agg = DistanceAggregates(pair_count=n * (n - 1),
+    keys, counts, sdt, sdh, fin = zip(*(
+        _sweep_columns(series, b)
+        for b in _column_blocks(n, np.arange(n, dtype=np.int64))))
+    agg = DistanceAggregates(sum(sdt), sum(sdh), sum(fin), pair_count=n * (n - 1),
                              snapshot_count=series.snapshot_count,
                              delta_seconds=series.delta_seconds)
-    for _, _, sdt, sdh, fin in results:
-        agg.sum_d_time += sdt
-        agg.sum_d_hops += sdh
-        agg.finite_triples += fin
-    keys = np.concatenate([r[0] for r in results])
-    counts = np.concatenate([r[1] for r in results])
+    keys, counts = np.concatenate(keys), np.concatenate(counts)
     mult = series.snapshot_count + 1
     return OccupancyDistribution(keys // mult, keys % mult, counts), agg
 

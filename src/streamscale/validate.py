@@ -185,9 +185,10 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
                            None if transitions else pair_keys % n)
     # series snapshot k holds instant k - 1
     a, c, k1, k2 = (np.concatenate(x) for x in zip(*hop2))
+    u, v, dep, arr = (np.concatenate(x) for x in zip(*kept))
+    del hop2[:], kept[:]  # concatenated: free the parts before the expansion
     found = (_expand_transitions(stream, a, c, k1 - 1, k2 - 1)
              if transitions else None)
-    u, v, dep, arr = (np.concatenate(x) for x in zip(*kept))
     return found, int(a.size), _PairTrips(u, v, dep - 1, arr - 1, n,
                                           stream.horizon)
 

@@ -192,6 +192,16 @@ def test_unknown_metric_rejected_before_any_work(tmp_path, capsys):
         assert "K=" not in err
 
 
+def test_negative_max_samples_rejected_before_any_work(tmp_path, capsys):
+    f = tmp_path / "toy.tsv"
+    f.write_text("a b 0\nb c 1\na c 3\n")
+    out = tmp_path / "validate.csv"
+    code, _, err = run(capsys, "validate", "--input", str(f), "--at-gamma",
+                       "--grid", "log:5", "--max-samples", "-1", "--out", str(out))
+    assert code == 2 and "max_samples must be >= 0" in err
+    assert "K=" not in err and not out.exists()
+
+
 def test_validate_without_k_rejected_before_loading(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--input", str(tmp_path / "nope.tsv"))
     assert code == 2 and "needs --k-list or --at-gamma" in err

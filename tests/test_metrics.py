@@ -103,6 +103,15 @@ def test_shannon_boundary_upper_inclusive():
     assert shannon_entropy(dist_of((1, 1)), 7) == 0.0
 
 
+def test_shannon_slot_masses_exact_above_2_53():
+    # slot 3 holds 2^53 + 1, slot 10 holds 1; float64 slot sums would
+    # round 2^53 + 1 down to 2^53 (entropy 4.3006e-15). The value is that
+    # of the exact masses, from a 60-digit decimal computation
+    d = OccupancyDistribution([1, 3, 1], [4, 11, 1], [2**53, 1, 1])
+    assert shannon_entropy(d, 10) == pytest.approx(4.18962648681432e-15,
+                                                   rel=1e-12, abs=0)
+
+
 def test_shannon_bounded_by_log_slots():
     rng = np.random.default_rng(1)
     for _ in range(50):

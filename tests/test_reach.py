@@ -152,11 +152,11 @@ def test_key_packing_at_the_largest_k(K):
 
 def test_dp_memory_stays_near_its_state():
     # one dense snapshot: 400 sources with 20 out-neighbors each. The DP
-    # state is 12 bytes per (node, column), the snapshot's new rows 8 at
-    # most; the other temporaries are bounded by _BLOCK_ELEMENTS, the
-    # trip buffer by _CHUNK. Gathering every edge's row at once (26 MB
-    # here), or comparing every source's row at once (+4.7 MB), would not
-    # fit
+    # state is 8 bytes (one int64 key) per (node, column), the snapshot's
+    # new rows 8 at most; the other temporaries are bounded by
+    # _BLOCK_ELEMENTS, the trip buffer by _CHUNK. Gathering every edge's
+    # row at once (26 MB here), or comparing every source's row at once
+    # (+4.7 MB), would not fit
     n = 400
     rng = np.random.default_rng(0)
     u = np.repeat(np.arange(n), 20)
@@ -164,7 +164,7 @@ def test_dp_memory_stays_near_its_state():
     series = GraphSeries(np.ones(u.size, dtype=np.int64), u, v,
                          snapshot_count=1, node_count=n, horizon=1,
                          directed=True)
-    state = n * n * 12
+    state = n * n * 8
     bound = 8 * (4 * reach._BLOCK_ELEMENTS + 5 * reach._CHUNK)
     tracemalloc.start()
     try:
