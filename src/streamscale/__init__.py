@@ -16,7 +16,7 @@ from .reach import (OccupancyDistribution, DistanceAggregates,
 from .metrics import (icd_points, mk_distance, mk_proximity, std_dev,
                       variation_coeff, shannon_entropy, cre, select_gamma,
                       compute_metrics)
-from .classic import ClassicStats, snapshot_stats, distance_stats, classic_stats
+from .classic import ClassicStats, snapshot_stats, classic_stats
 from .validate import (TransitionSet, ElongationResult, LossReport,
                        enumerate_shortest_transitions, lost_fraction,
                        mean_elongation, run_validation)
@@ -34,7 +34,7 @@ __all__ = [
     "icd_points", "mk_distance", "mk_proximity", "std_dev",
     "variation_coeff", "shannon_entropy", "cre", "select_gamma",
     "compute_metrics",
-    "ClassicStats", "snapshot_stats", "distance_stats", "classic_stats",
+    "ClassicStats", "snapshot_stats", "classic_stats",
     "TransitionSet", "ElongationResult", "LossReport",
     "enumerate_shortest_transitions", "lost_fraction", "mean_elongation",
     "run_validation",

@@ -19,11 +19,12 @@ __all__ = ["GraphSeries", "aggregate", "delta_grid"]
 class GraphSeries:
     """K deduplicated snapshots of a link stream, in CSR-like flat arrays.
 
-    Edges are stored once in canonical orientation (``ek``, ``eu``, ``ev``
-    sorted by (k, u, v); u < v when undirected) and once symmetrized per
-    direction for path sweeps (``sk``, ``su``, ``sv``). Snapshot k covers
-    events with (k-1)*delta <= t < k*delta, k = 1..K; empty snapshots are
-    represented implicitly.
+    Every edge is stored per direction in ``sk``, ``su``, ``sv`` (snapshot,
+    source, target), sorted by (k, source, target); an undirected edge is
+    stored in both directions. Snapshot k covers events with
+    (k-1)*delta <= t < k*delta, k = 1..K; empty snapshots are represented
+    implicitly. The constructor takes the edges (``ek``, ``eu``, ``ev``) in
+    any order, repeats included, an undirected one in either orientation.
     """
 
     def __init__(self, ek, eu, ev, *, snapshot_count, node_count, horizon,
@@ -36,39 +37,25 @@ class GraphSeries:
         if not 1 <= self.snapshot_count < 1 << 31:
             raise ValueError("snapshot_count must be in [1, 2^31)")
 
-        ek = np.asarray(ek, dtype=np.int64)
-        eu = np.asarray(eu, dtype=np.int64)
-        ev = np.asarray(ev, dtype=np.int64)
+        sk, su, sv = (np.asarray(x, dtype=np.int64) for x in (ek, eu, ev))
         if not directed:
-            lo, hi = np.minimum(eu, ev), np.maximum(eu, ev)
-            eu, ev = lo, hi
-        order = np.lexsort((ev, eu, ek))
-        ek, eu, ev = ek[order], eu[order], ev[order]
-        if ek.size:
-            keep = np.ones(ek.size, dtype=bool)
-            keep[1:] = (ek[1:] != ek[:-1]) | (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
-            ek, eu, ev = ek[keep], eu[keep], ev[keep]
-            if np.any(eu == ev):
+            sk, su, sv = np.r_[sk, sk], np.r_[su, sv], np.r_[sv, su]
+        order = np.lexsort((sv, su, sk))
+        sk, su, sv = sk[order], su[order], sv[order]
+        if sk.size:
+            keep = np.ones(sk.size, dtype=bool)
+            keep[1:] = (sk[1:] != sk[:-1]) | (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+            sk, su, sv = sk[keep], su[keep], sv[keep]
+            if np.any(su == sv):
                 raise ValueError("self-loop edge present")
-            if ek.min() < 1 or ek.max() > self.snapshot_count:
+            if sk[0] < 1 or sk[-1] > self.snapshot_count:
                 raise ValueError("snapshot index out of range")
-        self.ek, self.eu, self.ev = ek, eu, ev
-        self.total_edges = int(ek.size)
-
-        # symmetrized per-direction copy, sorted by (k, source, target)
-        if directed:
-            sk, su, sv = ek, eu, ev
-        else:
-            sk = np.concatenate([ek, ek])
-            su = np.concatenate([eu, ev])
-            sv = np.concatenate([ev, eu])
-            order = np.lexsort((sv, su, sk))
-            sk, su, sv = sk[order], su[order], sv[order]
+            if min(su.min(), sv.min()) < 0 or max(su.max(), sv.max()) >= self.node_count:
+                raise ValueError("node ids out of range")
         self.sk, self.su, self.sv = sk, su, sv
+        self.total_edges = int(sk.size if directed else sk.size // 2)
 
-        # offsets of the non-empty snapshots into both layouts
-        self._e_snap, self._e_start = np.unique(ek, return_index=True)
-        self._e_start = np.append(self._e_start, ek.size)
+        # offsets of the non-empty snapshots
         self._s_snap, self._s_start = np.unique(sk, return_index=True)
         self._s_start = np.append(self._s_start, sk.size)
 
@@ -83,23 +70,7 @@ class GraphSeries:
 
     @property
     def nonempty_snapshots(self):
-        return self._e_snap
-
-    def edge_counts(self):
-        """(snapshot ids, edge counts) for the non-empty snapshots."""
-        return self._e_snap, np.diff(self._e_start)
-
-    def edges(self, k):
-        """Edge arrays (u, v) of snapshot k, canonical orientation."""
-        i = np.searchsorted(self._e_snap, k)
-        if i == len(self._e_snap) or self._e_snap[i] != k:
-            return (np.empty(0, dtype=np.int64),) * 2
-        lo, hi = self._e_start[i], self._e_start[i + 1]
-        return self.eu[lo:hi], self.ev[lo:hi]
-
-    def edge_set(self, k):
-        u, v = self.edges(k)
-        return set(zip(u.tolist(), v.tolist()))
+        return self._s_snap
 
     @classmethod
     def from_snapshots(cls, snapshots, *, node_count=None, directed=False,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .reach import minimal_trip_sweep
+import numpy as np
 
-__all__ = ["ClassicStats", "snapshot_stats", "distance_stats", "classic_stats"]
+__all__ = ["ClassicStats", "snapshot_stats", "classic_stats"]
 
 
 @dataclass
@@ -27,33 +27,18 @@ class ClassicStats:
     finite_pair_fraction: float
 
 
-class _UnionFind(dict):
-    """Union-find over the active nodes of one snapshot, tracking sizes."""
-
-    def __init__(self):
-        super().__init__()
-        self.size = {}
-
-    def find(self, x):
-        if x not in self:
-            self[x] = x
-            self.size[x] = 1
-            return x
-        root = x
-        while self[root] != root:
-            root = self[root]
-        while self[x] != root:
-            self[x], x = root, self[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self[rb] = ra
-        self.size[ra] += self.size[rb]
+def _component_labels(a, b, count):
+    """Smallest vertex id of each vertex's component, for the undirected
+    graph on ``count`` vertices with edges (a[i], b[i])."""
+    label, prev = np.arange(count), None
+    while not np.array_equal(label, prev):
+        prev = label.copy()  # every label is a root: hook onto smaller roots
+        np.minimum.at(label, prev[a], prev[b])
+        np.minimum.at(label, prev[b], prev[a])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):  # pointer jumping
+            label, jumped = jumped, jumped[jumped]
+    return label
 
 
 def snapshot_stats(series):
@@ -64,49 +49,40 @@ def snapshot_stats(series):
     weakly (edge direction ignored). Snapshots without any edge
     contribute density 0, a largest component of one node and zero
     non-isolated nodes. Averages run over all K snapshots.
+
+    One vector pass over all snapshots: every active (snapshot, node) is
+    one vertex, and the components of the union of all snapshot graphs
+    are those of the snapshots.
     """
     n = series.node_count
     K = series.snapshot_count
     pair_count = n * (n - 1) if series.directed else n * (n - 1) // 2
 
-    snaps, counts = series.edge_counts()
-    sum_density = 0.0
-    sum_cc = 0.0
-    sum_non_isolated = 0.0
-    for k, m_k in zip(snaps.tolist(), counts.tolist()):
-        u, v = series.edges(int(k))
-        uf = _UnionFind()
-        for a, b in zip(u.tolist(), v.tolist()):
-            uf.union(a, b)
-        sum_density += m_k / pair_count
-        sum_cc += max(uf.size.values())
-        sum_non_isolated += len(uf)
-    empty = K - len(snaps)
-    sum_cc += empty * (1 if n >= 1 else 0)
+    # edges per non-empty snapshot; the density terms add up left to right,
+    # since a pairwise or compensated sum can change the last digit
+    edges = np.diff(series._s_start) // (1 if series.directed else 2)
+    sum_density = float(np.cumsum(np.r_[0.0, edges / pair_count])[-1])
+
+    m = series.sk.size
+    cells = series.sk * n
+    verts, ends = np.unique(np.r_[cells + series.su, cells + series.sv],
+                            return_inverse=True)
+    label = _component_labels(ends[:m], ends[m:], verts.size)
+    comp_size = np.bincount(label, minlength=verts.size)[label]
+    snap = verts // n
+    first = np.flatnonzero(np.diff(snap, prepend=-1))
+    sum_cc = int(np.maximum.reduceat(comp_size, first).sum())
+    sum_cc += (K - first.size) * (1 if n >= 1 else 0)
 
     mean_density = sum_density / K
     return (mean_density, mean_density * (n - 1), sum_cc / K,
-            sum_non_isolated / K)
+            verts.size / K)
 
 
-def distance_stats(series, *, aggregates=None):
-    """Mean temporal distances over all ordered pairs and departures.
-
-    d_time(u, v, k) is the earliest arrival snapshot minus k plus one,
-    d_hops the minimum hop count among arrival-optimal paths; only finite
-    triples enter the means, and their share is reported as
-    ``finite_pair_fraction``. Pass ``aggregates`` from an earlier sweep
-    to avoid recomputing.
-    """
-    if aggregates is None:
-        _, aggregates = minimal_trip_sweep(series)
-    return (aggregates.mean_d_time, aggregates.mean_d_hops,
-            aggregates.mean_d_time_abs, aggregates.finite_pair_fraction)
-
-
-def classic_stats(series, *, aggregates=None):
-    """Bundle of :func:`snapshot_stats` and :func:`distance_stats`."""
-    density, degree, cc, non_iso = snapshot_stats(series)
-    d_time, d_hops, d_abs, finite = distance_stats(series, aggregates=aggregates)
-    return ClassicStats(density, degree, cc, non_iso,
-                        d_time, d_hops, d_abs, finite)
+def classic_stats(series, aggregates):
+    """:func:`snapshot_stats` of ``series`` with the mean temporal distances
+    of ``aggregates``, the :class:`~streamscale.reach.DistanceAggregates`
+    that :func:`~streamscale.reach.minimal_trip_sweep` returns for it."""
+    return ClassicStats(*snapshot_stats(series), aggregates.mean_d_time,
+                        aggregates.mean_d_hops, aggregates.mean_d_time_abs,
+                        aggregates.finite_pair_fraction)

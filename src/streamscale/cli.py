@@ -9,6 +9,7 @@ so the commands are pipeline-safe. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -74,10 +75,12 @@ def _parse_grid(args, stream):
     return list(delta_grid(stream, points))
 
 
-def _out_stream(path_str):
+def _output(path_str):
+    """Context manager of the output file, or of stdout (never closed)
+    when ``path_str`` is None or "-"."""
     if path_str in (None, "-"):
-        return sys.stdout, False
-    return open(path_str, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path_str, "w", encoding="utf-8")
 
 
 def _positive_int(text):
@@ -231,12 +234,8 @@ def cmd_validate(args):
 
     rows = run_validation(stream, ks, max_samples=args.max_samples,
                           seed=args.seed, log=_log)
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         write_validate_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -245,12 +244,8 @@ def cmd_distribution(args):
     series = aggregate(stream, args.k)
     dist, _ = minimal_trip_sweep(series)
     lams, vals = icd_points(dist)
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         write_icd_csv(lams, vals, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -258,12 +253,8 @@ def cmd_classic(args):
     stream, info = _load_stream(args)
     ks = _parse_grid(args, stream)
     report = run_sweep(stream, k_list=ks, classic=True, input_info=info, log=_log)
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         write_classic_csv(report, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -296,12 +287,8 @@ def cmd_generate(args):
                            n_low=args.n2, t_low=args.t2,
                            alternations=args.alternations, seed=args.seed)
         stream = gen_two_mode(spec)
-    fh, close = _out_stream(args.out)
-    try:
+    with _output(args.out) as fh:
         write_tsv(stream, fh)
-    finally:
-        if close:
-            fh.close()
     _log(f"generated {stream.event_count} events over horizon {stream.horizon}")
     return 0
 

@@ -121,7 +121,10 @@ class DistanceAggregates:
     """Exact integer accumulators for the distance curves.
 
     Sums run over all ordered pairs (u, v) of distinct nodes and all
-    departure snapshots k with finite earliest arrival.
+    departure snapshots k with finite earliest arrival. d_time(u, v, k) is
+    the earliest arrival snapshot minus k plus one, d_hops the fewest hops
+    among the paths that arrive then; the means run over these finite
+    triples, and ``finite_pair_fraction`` is their share of all of them.
     """
 
     sum_d_time: int = 0

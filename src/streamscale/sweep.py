@@ -28,6 +28,14 @@ __all__ = ["GridEntry", "SweepReport", "run_sweep", "report_to_json",
 # ICD sample points kept per grid entry in the report
 ICD_CAP = 129
 
+# (report key and classic.csv column, ClassicStats field), in CSV order
+_CLASSIC_COLUMNS = (
+    ("density", "mean_density"), ("degree", "mean_degree"),
+    ("largest_cc", "mean_largest_cc"), ("non_isolated", "mean_non_isolated"),
+    ("d_time", "mean_d_time"), ("d_hops", "mean_d_hops"),
+    ("d_time_abs", "mean_d_time_abs"), ("finite_frac", "finite_pair_fraction"),
+)
+
 
 def fmt(x):
     """Floats with 12 significant digits, for cross-run comparability."""
@@ -159,17 +167,8 @@ def report_to_json(report):
             "icd": e.icd,
         }
         if e.classic is not None:
-            c = e.classic
-            item["classic"] = {
-                "density": c.mean_density,
-                "degree": c.mean_degree,
-                "largest_cc": c.mean_largest_cc,
-                "non_isolated": c.mean_non_isolated,
-                "d_time": c.mean_d_time,
-                "d_hops": c.mean_d_hops,
-                "d_time_abs": c.mean_d_time_abs,
-                "finite_frac": c.finite_pair_fraction,
-            }
+            item["classic"] = {column: getattr(e.classic, name)
+                               for column, name in _CLASSIC_COLUMNS}
         entries.append(item)
     doc = {
         "tool": {"name": "streamscale", "version": report.version},
@@ -189,13 +188,10 @@ def write_curve_csv(report, metric, fh):
 
 
 def write_classic_csv(report, fh):
-    fh.write("K,delta_s,density,degree,largest_cc,non_isolated,"
-             "d_time,d_hops,d_time_abs,finite_frac\n")
+    fh.write(",".join(["K", "delta_s"] + [c for c, _ in _CLASSIC_COLUMNS]) + "\n")
     for e in report.entries:
-        c = e.classic
-        row = [e.K, e.delta_seconds, c.mean_density, c.mean_degree,
-               c.mean_largest_cc, c.mean_non_isolated, c.mean_d_time,
-               c.mean_d_hops, c.mean_d_time_abs, c.finite_pair_fraction]
+        row = [e.K, e.delta_seconds] + [getattr(e.classic, name)
+                                        for _, name in _CLASSIC_COLUMNS]
         fh.write(",".join(fmt(x) for x in row) + "\n")
 
 

@@ -31,6 +31,14 @@ def random_series(rng, max_n=6, max_k=8, max_edges=12):
     return series, snapshots, n, K, directed
 
 
+def edge_set(series, k):
+    """Edges of snapshot k as a set of (u, v), with u < v when undirected."""
+    at = series.sk == k
+    if not series.directed:
+        at &= series.su < series.sv
+    return set(zip(series.su[at].tolist(), series.sv[at].tolist()))
+
+
 def random_stream(rng, max_n=6, max_events=20, max_t=15):
     """Small random stream plus its event list, for stream-level oracles."""
     n = int(rng.integers(2, max_n + 1))

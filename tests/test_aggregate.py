@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamscale.aggregate import aggregate, delta_grid
+from streamscale.aggregate import GraphSeries, aggregate, delta_grid
 from streamscale.stream import LinkStream, parse_tsv
 
-from conftest import random_stream
+from conftest import edge_set, random_stream
 
 
 def _stream(events, horizon, directed=False):
@@ -19,8 +19,8 @@ def _stream(events, horizon, directed=False):
 def test_hand_bucketing_example():
     s = _stream([(0, 1, 0), (1, 2, 1), (0, 2, 3)], horizon=4)
     g = aggregate(s, 2)
-    assert g.edge_set(1) == {(0, 1), (1, 2)}
-    assert g.edge_set(2) == {(0, 2)}
+    assert edge_set(g, 1) == {(0, 1), (1, 2)}
+    assert edge_set(g, 2) == {(0, 2)}
     assert g.total_edges == 3
 
 
@@ -28,7 +28,7 @@ def test_total_aggregation_all_pairs():
     s = parse_tsv("a b 1\na b 7\nb c 3\nc a 9\n")
     g = aggregate(s, 1)
     assert g.snapshot_count == 1
-    assert g.edge_set(1) == {(0, 1), (1, 2), (0, 2)}
+    assert edge_set(g, 1) == {(0, 1), (1, 2), (0, 2)}
 
 
 def test_window_rule_matches_exact_rational_comparison():
@@ -43,7 +43,7 @@ def test_window_rule_matches_exact_rational_comparison():
             for u, v, t in zip(stream.u, stream.v, stream.t):
                 k = int(t * K // stream.horizon) + 1
                 assert (k - 1) * delta <= t < k * delta
-                assert (int(u), int(v)) in g.edge_set(k)
+                assert (int(u), int(v)) in edge_set(g, k)
 
 
 def test_every_event_in_exactly_one_snapshot():
@@ -57,7 +57,7 @@ def test_every_event_in_exactly_one_snapshot():
         covered = {(int(u), int(v), int(k))
                    for u, v, k in zip(stream.u, stream.v, buckets)}
         for u, v, k in covered:
-            assert (u, v) in g.edge_set(k)
+            assert (u, v) in edge_set(g, k)
 
 
 def test_refinement_consistency():
@@ -71,8 +71,8 @@ def test_refinement_consistency():
     g2 = aggregate(stream, K2)
     for k in g1.nonempty_snapshots.tolist():
         coarse = -(-k * K2 // K1)  # ceil
-        fine_edges = g1.edge_set(k)
-        assert fine_edges <= g2.edge_set(coarse)
+        fine_edges = edge_set(g1, k)
+        assert fine_edges <= edge_set(g2, coarse)
 
 
 def test_edge_count_monotone_in_window_length():
@@ -90,6 +90,17 @@ def test_k_out_of_range():
         aggregate(s, 0)
     with pytest.raises(ValueError):
         aggregate(s, s.horizon + 1)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("bad", [-1, 3, 5])
+def test_node_ids_out_of_range(directed, bad):
+    # a negative id would wrap around in the DP's indexing, a large one
+    # would fail deep inside it
+    for edges in ([(0, bad)], [(bad, 1)]):
+        with pytest.raises(ValueError, match="node ids out of range"):
+            GraphSeries.from_snapshots([edges, [(2, 1)]], node_count=3,
+                                       directed=directed)
 
 
 def test_neighbor_lists_sorted_and_deduplicated():

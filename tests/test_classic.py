@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamscale.aggregate import GraphSeries, aggregate, delta_grid
-from streamscale.classic import classic_stats, distance_stats, snapshot_stats
+from streamscale.classic import classic_stats, snapshot_stats
 from streamscale.reach import minimal_trip_sweep
 from streamscale.synth import UniformSpec, gen_uniform
 
@@ -53,20 +53,41 @@ def test_empty_snapshot_degenerates():
     assert degree == pytest.approx(density * 2)
 
 
+def _path_case(order, directed):
+    # one long path through the nodes in ``order`` beside empty snapshots
+    path = list(zip(order, order[1:]))
+    snapshots = [[], path, [], [(0, 1)], []]
+    series = GraphSeries.from_snapshots(snapshots, node_count=len(order),
+                                        directed=directed)
+    return series, snapshots, len(order), len(snapshots), directed
+
+
 def test_snapshot_stats_match_naive():
     rng = np.random.default_rng(20)
-    for _ in range(40):
-        series, snapshots, n, K, directed = random_series(rng, max_edges=14)
+    cases = [random_series(rng, max_edges=14) for _ in range(40)]
+    # paths that the component labels join in many rounds: descending ids,
+    # and bit-reversed ids (0, 128, 64, 192, ...), where each round of
+    # hooking and pointer jumping only halves the number of components
+    for order in (list(range(199, -1, -1)),
+                  [int(f"{i:08b}"[::-1], 2) for i in range(256)]):
+        cases += [_path_case(order, True), _path_case(order, False)]
+    for series, snapshots, n, K, directed in cases:
         got = snapshot_stats(series)
         want = naive_snapshot_stats(snapshots, n, directed)
         assert got == pytest.approx(want)
+
+
+def _distance_stats(series):
+    _, agg = minimal_trip_sweep(series)
+    return (agg.mean_d_time, agg.mean_d_hops, agg.mean_d_time_abs,
+            agg.finite_pair_fraction)
 
 
 def test_distance_stats_match_naive_and_bounds():
     rng = np.random.default_rng(21)
     for _ in range(40):
         series, snapshots, n, K, directed = random_series(rng)
-        d_time, d_hops, d_abs, finite_frac = distance_stats(series)
+        d_time, d_hops, d_abs, finite_frac = _distance_stats(series)
         sdt, sdh, fin = series_distance_sums(snapshots, n, directed)
         if fin == 0:
             assert np.isnan(d_time)
@@ -80,7 +101,7 @@ def test_distance_stats_match_naive_and_bounds():
 
 def test_k1_distance_endpoints():
     g = GraphSeries.from_snapshots([[(0, 1), (1, 2)]], horizon=500)
-    d_time, d_hops, d_abs, _ = distance_stats(g)
+    d_time, d_hops, d_abs, _ = _distance_stats(g)
     assert d_time == 1.0
     assert d_hops == 1.0
     assert d_abs == 500.0  # exactly the horizon

@@ -1,5 +1,5 @@
-"""The demos import only names that the package has, and the toy demo,
-which defines a trip sink, runs."""
+"""The demos import only names that the package has; the toy demo, which
+defines a trip sink, and the classic-statistics demo run."""
 
 import ast
 import importlib
@@ -28,7 +28,12 @@ def test_demo_imports_resolve(path):
                     f"{path.name} imports {alias.name} from {node.module}"
 
 
-def test_toy_demo_runs(capsys):
-    runpy.run_path(str(DEMO_DIR / "01_toy_minimal_trips.py"), run_name="__main__")
-    assert "  a->c departs 1 arrives 2 hops=2 occupancy=2/2\n" \
-        in capsys.readouterr().out
+@pytest.mark.parametrize("demo, line", [
+    ("01_toy_minimal_trips.py",
+     "  a->c departs 1 arrives 2 hops=2 occupancy=2/2\n"),
+    ("06_classic_parameters.py",
+     "   15000        1.0   0.00067        1.12   2.560        278.9\n"),
+], ids=["01", "06"])
+def test_toy_demo_runs(demo, line, capsys):
+    runpy.run_path(str(DEMO_DIR / demo), run_name="__main__")
+    assert line in capsys.readouterr().out

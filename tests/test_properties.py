@@ -1,5 +1,5 @@
-"""Property tests of the minimal-trip DP, the validation fast paths and
-input parsing.
+"""Property tests of aggregation, the minimal-trip DP, the validation fast
+paths and input parsing.
 
 Hypothesis draws small series, streams, queries and edge-list files that
 the fixed seeds of the other tests do not cover; every example is
@@ -15,13 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from streamscale import reach  # noqa: E402
-from streamscale.aggregate import GraphSeries  # noqa: E402
+from streamscale.aggregate import GraphSeries, aggregate  # noqa: E402
+from streamscale.classic import snapshot_stats  # noqa: E402
 from streamscale.stream import (LinkStream, parse_konect,  # noqa: E402
                                 parse_tsv, write_tsv)
 from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
                                   enumerate_shortest_transitions)
 
-from conftest import collect_trips  # noqa: E402
+from conftest import collect_trips, scan_trips  # noqa: E402
 from oracles import (series_distance_sums,  # noqa: E402
                      series_minimal_trips, stream_earliest_arrival,
                      stream_shortest_transitions)
@@ -77,9 +78,11 @@ def test_dp_matches_oracles_property(case, bound):
 
 
 @st.composite
-def streams(draw, max_n=6, max_events=18):
-    """(stream, events, directed) of a small stream with dense node ids."""
-    directed = draw(st.booleans())
+def streams(draw, max_n=6, max_events=18, directed=None):
+    """(stream, events, directed) of a small stream with dense node ids,
+    directed or not as drawn unless ``directed`` is given."""
+    if directed is None:
+        directed = draw(st.booleans())
     n = draw(st.integers(2, max_n))
     raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                   st.integers(0, HORIZON - 1)),
@@ -100,6 +103,27 @@ def streams(draw, max_n=6, max_events=18):
                                     labels=[str(i) for i in range(len(labels))],
                                     horizon=HORIZON, normalize_times=False)
     return stream, events, directed
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams(directed=False))
+def test_undirected_equals_both_directions_directed_property(case):
+    # the directed copy with every link in both directions aggregates to
+    # the same per-direction layout, so everything computed from it agrees;
+    # densities too: m/(n(n-1)/2) and 2m/(n(n-1)) round to the same float
+    stream, events, _ = case
+    both = LinkStream.from_events(
+        sorted(events + [(v, u, t) for u, v, t in events]), directed=True,
+        labels=list(stream.labels), horizon=HORIZON, normalize_times=False)
+    for K in (1, 2, 5, HORIZON):
+        plain, doubled = aggregate(stream, K), aggregate(both, K)
+        for a, b in ((plain.sk, doubled.sk), (plain.su, doubled.su),
+                     (plain.sv, doubled.sv)):
+            assert np.array_equal(a, b)
+        assert reach.minimal_trip_sweep(plain) == \
+            reach.minimal_trip_sweep(doubled)
+        assert scan_trips(plain) == scan_trips(doubled)
+        assert snapshot_stats(plain) == snapshot_stats(doubled)
 
 
 @settings(max_examples=200, deadline=None)

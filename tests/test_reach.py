@@ -142,8 +142,8 @@ def test_key_packing_at_the_largest_k(K):
         (d_time, d_hops, finite)
     if K < 10:
         snapshots = [[] for _ in range(K)]
-        for k, u, v in zip(series.ek.tolist(), series.eu.tolist(),
-                           series.ev.tolist()):
+        for k, u, v in zip(series.sk.tolist(), series.su.tolist(),
+                           series.sv.tolist()):
             snapshots[k - 1].append((u, v))
         assert (d_time, d_hops, finite) == \
             series_distance_sums(snapshots, 3, True)
