@@ -199,10 +199,10 @@ def cmd_sweep(args):
     chosen, args.shannon_slots = _checked_metric(args, allow_all=True)
     stream, info = _load_stream(args)
     ks = _parse_grid(args, stream)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_sweep(stream, k_list=ks, classic=args.classic,
                        shannon_slots=args.shannon_slots, input_info=info, log=_log)
-    _log(f"sweep of {len(ks)} grid points took {time.time() - t0:.1f}s")
+    _log(f"sweep of {len(ks)} grid points took {time.perf_counter() - t0:.1f}s")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report), encoding="utf-8")

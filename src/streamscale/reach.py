@@ -3,15 +3,16 @@
 The core is a dynamic program that walks the non-empty snapshots
 backward, keeping for every pair (u, v) the earliest arrival EA and the
 fewest hops H of the trips departing no earlier: packed into one int64
-key EA*(K+2) + H, "earliest, then fewest hops" is a plain minimum, and
-a snapshot is one numpy step over all its sources, O(edges *
+key EA*(K+2) + H, "earliest, then fewest hops" is a plain minimum.
+Consecutive snapshots of which none touches a row that a later one of
+them writes run as one numpy step over all their sources, O(edges *
 destinations) work, O(n*M) over a sweep. A minimal trip (u, v, k,
 EA_k(u, v)) is emitted exactly when the arrival strictly improves
 (EA_{k+1} > EA_k): a strictly included interval would need a later
 departure arriving no later, or the same departure arriving earlier,
 and EA is minimal. Trips with u == v are never emitted. Distance sums
-come from running totals of the finite keys' arrivals and hops, counted
-once per departure snapshot the state holds for.
+count each change of a key at snapshot k once for every departure
+1..k it holds for.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ __all__ = [
     "scan_minimal_trips",
 ]
 
-# trips per trip-sink call, about; every call costs the occupancy fold
-# a merge with all it holds
+# key changes turned into trips and sums at once, about; every trip-sink
+# call costs the occupancy fold a merge with all it holds
 _CHUNK = 1 << 16
-# elements of every per-snapshot temporary of the DP, about: rows of
-# out-neighbors gathered at once, and rows compared, emitted and summed
+# elements of every per-step temporary of the DP, about: rows of
+# out-neighbors gathered at once, and rows compared
 _BLOCK_ELEMENTS = 1 << 16
 # keep per-block DP state (one int64 key per cell) under ~190 MB
 _MAX_STATE_ELEMENTS = 24_000_000
@@ -66,6 +67,7 @@ class OccupancyDistribution:
         self._h = keys >> np.int64(31)
         self._d = keys & np.int64((1 << 31) - 1)
         self.total = _exact_sum(self._c)
+        self._rates = None
 
     def arrays(self):
         """(hops, duration, count) arrays sorted by (hops, duration)."""
@@ -79,27 +81,32 @@ class OccupancyDistribution:
 
     def reduced_rate_arrays(self):
         """(p, q, weight, value) arrays of distinct reduced rates p/q,
-        strictly sorted by exact value.
+        strictly sorted by exact value; read-only, computed once.
 
         The float sort is exact here: distinct reduced rationals with
         denominators below 2^31 stay distinguishable, which a cross-
         multiplication check verifies (exact fallback otherwise).
         """
-        h, d, c = self.arrays()
-        g = np.gcd(h, d)
-        p = h // g
-        q = d // g
-        uniq, w = _keyed_sum((p << np.int64(31)) | q, c)
-        p = uniq >> np.int64(31)
-        q = uniq & np.int64((1 << 31) - 1)
-        val = p / q
-        order = np.argsort(val, kind="stable")
-        p, q, w, val = p[order], q[order], w[order], val[order]
-        if p.size > 1 and not np.all(p[:-1] * q[1:] < p[1:] * q[:-1]):
-            exact = sorted(range(p.size), key=lambda i: Fraction(int(p[i]), int(q[i])))
-            idx = np.array(exact)
-            p, q, w, val = p[idx], q[idx], w[idx], val[idx]
-        return p, q, w, val
+        if self._rates is None:
+            h, d, c = self.arrays()
+            g = np.gcd(h, d)
+            p = h // g
+            q = d // g
+            uniq, w = _keyed_sum((p << np.int64(31)) | q, c)
+            p = uniq >> np.int64(31)
+            q = uniq & np.int64((1 << 31) - 1)
+            val = p / q
+            order = np.argsort(val, kind="stable")
+            p, q, w, val = p[order], q[order], w[order], val[order]
+            if p.size > 1 and not np.all(p[:-1] * q[1:] < p[1:] * q[:-1]):
+                exact = sorted(range(p.size),
+                               key=lambda i: Fraction(int(p[i]), int(q[i])))
+                idx = np.array(exact)
+                p, q, w, val = p[idx], q[idx], w[idx], val[idx]
+            for a in (p, q, w, val):
+                a.flags.writeable = False
+            self._rates = p, q, w, val
+        return self._rates
 
     def __len__(self):
         return int(self.arrays()[0].size)
@@ -169,39 +176,73 @@ def _exact_sum(a):
                for i in range(0, a.size, chunk))
 
 
-class _TripChunks:
-    """The DP's blocks of trips, handed to ``trip_sink`` as flat int64
-    arrays (u, v, dep, arr, hops) of one length, about ``_CHUNK`` trips
-    per call; ``flush`` hands over the rest."""
+class _KeyChanges:
+    """The DP's changed keys, turned into minimal trips and distance sums
+    about ``_CHUNK`` changes at a time.
 
-    def __init__(self, trip_sink, width):
-        self._sink = trip_sink
-        self._cap = max(_CHUNK, width)  # width: the most trips of one add
-        self._new()
+    ``add`` keeps each change as (source, cell in its block of rows,
+    snapshot k, old key, new key) in flat int64 buffers. ``flush`` hands
+    the changes whose arrival falls to ``trip_sink`` as flat int64 arrays
+    (u, v, dep, arr, hops) of one length and, with ``summarize``, adds to
+    ``sums`` (sum_d_time, sum_d_hops, finite_triples) exactly: a key
+    changed at snapshot k is the state of departures 1..k until an
+    earlier snapshot changes it again, so each change adds its
+    differences k times, and a new finite key its d_time over those
+    departures and k finite triples.
+    """
 
-    def _new(self):
-        self._bufs = np.empty((5, self._cap), dtype=np.int64)
+    def __init__(self, trip_sink, cols, K, width, summarize):
+        self._sink, self._cols, self._K = trip_sink, cols, K
+        self.sums = [0, 0, 0] if summarize else None
+        # width: the most changes of one add
+        self._bufs = np.empty((5, max(_CHUNK, width)), dtype=np.int64)
         self._size = 0
+        # changes whose k-weighted terms (each below K*(K+1)) sum in int64
+        self._plain = (1 << 62) // (K * (K + 1))
 
-    def add(self, u, v, dep, arr, hops):
-        if self._size + v.size > self._cap:
+    def add(self, ch, rows, row_k, old, new):
+        """The changed cells ``ch`` of a block of rows, flat indices into
+        its (row, column) keys ``old`` and ``new``."""
+        if self._size + ch.size > self._bufs.shape[1]:
             self.flush()
         lo = self._size
-        self._size = hi = lo + v.size
-        b = self._bufs
-        b[0, lo:hi] = u
-        b[1, lo:hi] = v
-        b[2, lo:hi] = dep
-        b[3, lo:hi] = arr
-        b[4, lo:hi] = hops
+        self._size = hi = lo + ch.size
+        u, cell, dep, was, now = self._bufs[:, lo:hi]
+        q = ch // self._cols.size  # ch % C, the column, waits for flush
+        # mode "clip" writes straight into the buffer; every index is valid
+        rows.take(q, out=u, mode="clip")
+        row_k.take(q, out=dep, mode="clip")
+        cell[:] = ch
+        old.take(ch, out=was, mode="clip")
+        new.take(ch, out=now, mode="clip")
         if hi >= _CHUNK:
             self.flush()
 
+    def _dot(self, a, b):
+        return int(a @ b) if a.size < self._plain else _exact_sum(a * b)
+
     def flush(self):
-        if self._size:
-            self._sink(*self._bufs[:, :self._size])
-            self._bufs = None  # freed before the next buffer, unless kept
-            self._new()
+        if not self._size:
+            return
+        K, B = self._K, self._K + 2
+        u, cell, dep, was, now = self._bufs[:, :self._size]
+        arr, wa = now // B, was // B
+        if self.sums is not None:  # a sentinel reads as arrival K+1, 0 hops
+            born = dep[wa == K + 1]
+            f = int(born.sum())
+            ea = arr - wa
+            self.sums[0] += (self._dot(dep, ea) + (K + 1) * f
+                             - (self._dot(born, born) - f) // 2)
+            self.sums[1] += self._dot(dep, now - was - ea * B)
+            self.sums[2] += f
+            del born, ea  # freed before the sink's own temporaries
+        em = (arr < wa).nonzero()[0]
+        del wa
+        if em.size:
+            arr = arr[em]
+            self._sink(u[em], self._cols[cell[em] % self._cols.size], dep[em],
+                       arr, now[em] - arr * B)
+        self._size = 0
 
 
 class _OccupancyFold:
@@ -236,22 +277,65 @@ def _keyed_sum(keys, counts):
     return keys[first], np.add.reduceat(counts[order], first)
 
 
+def _step_edges(column_count):
+    """Edges gathered per DP step, and rows per block, at this width."""
+    return max(1, _BLOCK_ELEMENTS // column_count)
+
+
+def _batch_cuts(series, step):
+    """Where the DP's steps start, as indices into the non-empty snapshots.
+
+    Step j runs snapshots cuts[j]..cuts[j+1]-1 as one vector step. Walking
+    backward, a snapshot joins the current step only if none of its
+    sources or targets is a source of a later snapshot in the step, and
+    the step keeps at most ``step`` edges; a larger snapshot runs alone.
+    """
+    s_start = series._s_start
+    S = s_start.size - 1
+    size = np.diff(s_start)
+    snap = np.repeat(np.arange(S, dtype=np.int64), size)
+    # the sorted (source, snapshot) keys, then an end marker: the key after
+    # x*S + i, less x*S, is the next snapshot writing row x, or >= S.
+    # Undirected snapshots have the same sources as targets
+    writes = np.append(np.sort(series.su * S + snap), series.node_count * S)
+    nxt = np.full(S, S, dtype=np.int64)
+    for x in (series.su, series.sv)[:1 + series.directed]:
+        q = x * S + snap
+        order = np.argsort(q)  # sorted queries search faster
+        later = np.empty_like(q)
+        later[order] = writes[np.searchsorted(writes, q[order], "right")]
+        np.minimum(nxt, np.minimum.reduceat(later - x * S, s_start[:-1]), out=nxt)
+    cuts, edges = [S], 0
+    size, nxt = size.tolist(), nxt.tolist()
+    for i in range(S - 1, -1, -1):
+        if edges and (edges + size[i] > step or nxt[i] < cuts[-1]):
+            cuts.append(i + 1)
+            edges = 0
+        edges += size[i]
+    if S:
+        cuts.append(0)
+    return cuts[::-1]
+
+
 def _sweep_columns(series, cols, trip_sink=None):
     """Backward DP over one block of destination columns.
 
     The state is one int64 key per (node, column), ``ea*B + hops`` with
-    B = K+2, and ``(K+1)*B`` where nothing is reachable. A non-empty
-    snapshot k is one vector step: the out-neighbors' rows reduced per
-    source by ``minimum.reduceat``, plus one hop, the direct edges
-    (``k*B + 1``) and the diagonal reset, then the minimum with the
-    sources' own rows, written back after all of them read the k+1
-    state. A key only falls, and a lower arrival emits a minimal trip.
+    B = K+2, and ``(K+1)*B`` where nothing is reachable. The non-empty
+    snapshots are cut into steps of consecutive snapshots that do not
+    depend on each other (:func:`_batch_cuts`), and a step is one vector
+    update: the out-neighbors' rows reduced per source by
+    ``minimum.reduceat``, plus one hop, the direct edges (``k*B + 1``,
+    k the row's own snapshot) and the diagonal reset, then the minimum
+    with the sources' own rows, written back after all of them read the
+    state the step started from. A key only falls; every change goes to
+    a :class:`_KeyChanges`, and a lower arrival is a minimal trip
+    departing at the row's snapshot.
 
     Hands every trip to ``trip_sink`` in flat chunks and returns None.
     Without ``trip_sink``, an :class:`_OccupancyFold` takes the trips and
     (packed keys, counts, sum_d_time, sum_d_hops, finite_triples) is
-    returned, exact: each changed block updates running totals over the
-    finite keys, added once per departure their state holds for.
+    returned, exact.
     """
     n, K, C = series.node_count, series.snapshot_count, cols.size
     B = K + 2
@@ -260,32 +344,31 @@ def _sweep_columns(series, cols, trip_sink=None):
     summarize = trip_sink is None
     colmap = np.full(n, -1, dtype=np.int64)
     colmap[cols] = np.arange(C)
-    step = max(1, _BLOCK_ELEMENTS // C)  # edges per gather, rows per block
+    step = _step_edges(C)  # edges per gather, rows per block
     fold = _OccupancyFold(K) if summarize else None
-    chunks = _TripChunks(fold or trip_sink, step * C)
-    ea_sum = hop_sum = finite = 0  # arrivals, hops, count of finite keys
-    sums = [0, 0, 0]  # sum_d_time, sum_d_hops, finite_triples
+    changes = _KeyChanges(fold or trip_sink, cols, K, step * C, summarize)
 
     # offsets into the (k, source)-sorted edges, computed once: a group is
-    # one source of one snapshot, rows are numbered within the snapshot
-    su, sv, e_off = series.su, series.sv, series._s_start
-    first = np.flatnonzero(np.diff(series.sk, prepend=-1) | np.diff(su, prepend=-1))
-    g_src = su[first]
+    # one source of one snapshot, rows are numbered within the step
+    sk, su, sv = series.sk, series.su, series.sv
+    e_off = series._s_start[_batch_cuts(series, step)]
+    first = np.flatnonzero(np.diff(sk, prepend=-1) | np.diff(su, prepend=-1))
+    g_src, g_k = su[first], sk[first]
     g_off = np.searchsorted(first, e_off)
-    g_snap = np.repeat(np.arange(g_off.size - 1), np.diff(g_off))
-    g_local = first - e_off[g_snap]
-    g_row = np.arange(first.size) - g_off[g_snap]
+    g_step = np.repeat(np.arange(g_off.size - 1), np.diff(g_off))
+    g_local = first - e_off[g_step]
+    g_row = np.arange(first.size) - g_off[g_step]
     hit = colmap[sv] >= 0  # direct edges into the swept columns
     d_row = np.repeat(g_row, np.diff(np.r_[first, su.size]))[hit]
-    d_col, d_off = colmap[sv[hit]], np.r_[0, np.cumsum(hit)][e_off]
+    d_col, d_key = colmap[sv[hit]], sk[hit] * B + 1
+    d_off = np.r_[0, np.cumsum(hit)][e_off]
     hit = colmap[g_src] >= 0  # sources whose own column is swept
     z_row, z_col = g_row[hit], colmap[g_src[hit]]
     z_off = np.r_[0, np.cumsum(hit)][g_off]
+    del hit, g_step, g_row, first
 
-    snaps, e_off, g_off, d_off, z_off = (
-        x.tolist() for x in (series._s_snap, e_off, g_off, d_off, z_off))
-    for i in range(len(snaps) - 1, -1, -1):
-        k = snaps[i]
+    e_off, g_off, d_off, z_off = (x.tolist() for x in (e_off, g_off, d_off, z_off))
+    for i in range(len(e_off) - 2, -1, -1):
         dst = sv[e_off[i]:e_off[i + 1]]
         sources = g_src[g_off[i]:g_off[i + 1]]
         starts = g_local[g_off[i]:g_off[i + 1]]
@@ -293,7 +376,7 @@ def _sweep_columns(series, cols, trip_sink=None):
             new = key[dst]
             if sources.size < dst.size:
                 new = np.minimum.reduceat(new, starts, axis=0)
-        else:  # gather the out-neighbors' rows ``step`` at a time
+        else:  # one snapshot: gather the out-neighbors' rows ``step`` at a time
             new = np.full((sources.size, C), sentinel, dtype=np.int64)
             for lo in range(0, dst.size, step):
                 r0 = int(starts.searchsorted(lo, "right")) - 1
@@ -305,7 +388,8 @@ def _sweep_columns(series, cols, trip_sink=None):
         new += 1
         # both writes commute with the minimum against the old rows: a
         # direct edge beats every later arrival, old diagonals are sentinels
-        new[d_row[d_off[i]:d_off[i + 1]], d_col[d_off[i]:d_off[i + 1]]] = k * B + 1
+        new[d_row[d_off[i]:d_off[i + 1]], d_col[d_off[i]:d_off[i + 1]]] = \
+            d_key[d_off[i]:d_off[i + 1]]
         new[z_row[z_off[i]:z_off[i + 1]], z_col[z_off[i]:z_off[i + 1]]] = sentinel
 
         for r0 in range(0, sources.size, step):  # blocks of rows
@@ -314,30 +398,20 @@ def _sweep_columns(series, cols, trip_sink=None):
             cur = new[r0:r0 + step].reshape(-1)
             np.minimum(cur, old, out=cur)
             ch = (cur < old).nonzero()[0]
-            if ch.size == 0:
-                continue
-            was, now = old[ch], cur[ch]
-            arr, wa = now // B, was // B
-            if summarize:  # a sentinel reads as arrival K+1 with 0 hops
-                # each block sum stays below (block elements)*(K+1) < 2^63
-                born = int(np.count_nonzero(was == sentinel))
-                ea_sum += int((arr - wa).sum()) + (K + 1) * born
-                hop_sum += int((now - arr * B).sum()) - int((was - wa * B).sum())
-                finite += born
-            em = (arr < wa).nonzero()[0]
-            if em.size:
-                q, c = np.divmod(ch[em], C)
-                chunks.add(rows[q], cols[c], k, arr[em], now[em] - arr[em] * B)
+            if ch.size:
+                changes.add(ch, rows, g_k[g_off[i] + r0:g_off[i + 1]], old, cur)
         key[sources] = new
-        if summarize:  # this state holds for departures prev+1..k
-            prev = snaps[i - 1] if i else 0
-            span = k - prev
-            sums[0] += span * ea_sum - finite * (prev + k - 1) * span // 2
-            sums[1] += span * hop_sum
-            sums[2] += span * finite
 
-    chunks.flush()
-    return (*fold.result(), *sums) if summarize else None
+    changes.flush()
+    return (*fold.result(), *changes.sums) if summarize else None
+
+
+def _dp_steps(series):
+    """Vector steps of the DP toward every destination, over all its
+    column blocks."""
+    n = series.node_count
+    return sum(len(_batch_cuts(series, _step_edges(b.size))) - 1
+               for b in _column_blocks(n, np.arange(n, dtype=np.int64)))
 
 
 def _column_blocks(n, cols):

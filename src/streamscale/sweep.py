@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .aggregate import aggregate, delta_grid
 from .classic import classic_stats
 from .metrics import compute_metrics, icd_points, select_gamma
-from .reach import minimal_trip_sweep
+from .reach import _dp_steps, minimal_trip_sweep
 
 __all__ = ["GridEntry", "SweepReport", "run_sweep", "report_to_json",
            "write_curve_csv", "write_classic_csv", "write_icd_csv",
@@ -96,7 +97,9 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False,
     entries = []
     for K in ks:
         series = aggregate(stream, K)
+        start = time.perf_counter()
         dist, agg = minimal_trip_sweep(series)
+        dp_seconds = time.perf_counter() - start
         if dist.total == 0:
             raise ValueError(f"no minimal trip at K={K}: cannot score the grid point")
         metrics = compute_metrics(dist, shannon_slots)
@@ -112,7 +115,10 @@ def run_sweep(stream, *, k_list=None, points=40, classic=False,
         entries.append(entry)
         if log is not None:
             log(f"K={K} delta_s={fmt(entry.delta_seconds)} trips={dist.total} "
-                f"mk={fmt(metrics['mk'])}")
+                f"mk={fmt(metrics['mk'])} "
+                f"snapshots={series.nonempty_snapshots.size} "
+                f"steps={_dp_steps(series)} "
+                f"dp={dp_seconds:.3f}s")
 
     gamma = {}
     for metric in entries[0].metrics:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import aggregate
-from .reach import scan_minimal_trips
+from .reach import _dp_steps, scan_minimal_trips
 
 __all__ = [
     "TransitionSet",
@@ -162,11 +162,12 @@ class _PairTrips:
 def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
     """One DP pass over the stream at instant resolution.
 
-    Returns (transitions, two-hop trip count, _PairTrips): the two-hop
-    minimal trips expanded into shortest transitions when ``transitions``
-    is set (every destination is swept, None otherwise), and the minimal
-    trips of the pairs u*n + v in ``pair_keys`` (only their destinations
-    are swept otherwise).
+    Returns (transitions, two-hop trip count, _PairTrips, series): the
+    two-hop minimal trips expanded into shortest transitions when
+    ``transitions`` is set (every destination is swept, None otherwise),
+    the minimal trips of the pairs u*n + v in ``pair_keys`` (only their
+    destinations are swept otherwise), and the series at instant
+    resolution that the DP walked (None when it had nothing to sweep).
     """
     n = stream.node_count
     pair_keys = np.unique(np.asarray(pair_keys, dtype=np.int64))
@@ -180,9 +181,10 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
         hit = _contains(pair_keys, u * n + v)
         kept.append((u[hit], v[hit], dep[hit], arr[hit]))
 
+    series = None
     if transitions or pair_keys.size:
-        scan_minimal_trips(aggregate(stream, stream.horizon), sink,
-                           None if transitions else pair_keys % n)
+        series = aggregate(stream, stream.horizon)
+        scan_minimal_trips(series, sink, None if transitions else pair_keys % n)
     # series snapshot k holds instant k - 1
     a, c, k1, k2 = (np.concatenate(x) for x in zip(*hop2))
     u, v, dep, arr = (np.concatenate(x) for x in zip(*kept))
@@ -190,7 +192,7 @@ def _stream_pass(stream, pair_keys=_EMPTY, transitions=True):
     found = (_expand_transitions(stream, a, c, k1 - 1, k2 - 1)
              if transitions else None)
     return found, int(a.size), _PairTrips(u, v, dep - 1, arr - 1, n,
-                                          stream.horizon)
+                                          stream.horizon), series
 
 
 def enumerate_shortest_transitions(stream):
@@ -357,8 +359,8 @@ def mean_elongation(stream, series, *, max_samples=100_000, seed=0):
     """
     sample = _sample_trips(series, max_samples, seed)
     u, v = sample.trips[:2]
-    _, _, pair_trips = _stream_pass(stream, u * stream.node_count + v,
-                                    transitions=False)
+    pair_trips = _stream_pass(stream, u * stream.node_count + v,
+                              transitions=False)[2]
     return _elongation(stream, series.snapshot_count, sample, pair_trips)
 
 
@@ -369,24 +371,29 @@ def run_validation(stream, ks, *, max_samples=100_000, seed=0, log=None):
     stream pass shared by all K for the transitions and the fastest
     realizations. ``log``, when given, receives one progress line per DP.
     """
-    log = log or (lambda msg: None)
     n = stream.node_count
+
+    def log_dp(series, msg):  # both DPs below sweep every destination
+        if log is not None:
+            log(f"{msg}, snapshots={series.nonempty_snapshots.size} "
+                f"steps={_dp_steps(series)}")
+
     samples = []
     for K in ks:
         start = time.perf_counter()
         series = aggregate(stream, K)
         sample = _sample_trips(series, max_samples, seed)
         samples.append((int(K), series.delta_seconds, sample))
-        log(f"K={K}: series DP {time.perf_counter() - start:.2f}s, "
-            f"{sample.eligible} eligible trips, {sample.trips[0].size} scored"
-            + (" (subsample)" if sample.sampled else ""))
+        log_dp(series, f"K={K}: series DP {time.perf_counter() - start:.2f}s, "
+               f"{sample.eligible} eligible trips, {sample.trips[0].size} scored"
+               + (" (subsample)" if sample.sampled else ""))
     start = time.perf_counter()
     pair_keys = np.concatenate(
         [_EMPTY] + [s.trips[0] * n + s.trips[1] for _, _, s in samples])
-    transitions, hop2, pair_trips = _stream_pass(stream, pair_keys)
-    log(f"stream pass {time.perf_counter() - start:.2f}s: {hop2} two-hop "
-        f"trips, {len(transitions)} shortest transitions, "
-        f"{pair_trips.pairs.size} indexed pairs")
+    transitions, hop2, pair_trips, series = _stream_pass(stream, pair_keys)
+    log_dp(series, f"stream pass {time.perf_counter() - start:.2f}s: {hop2} "
+           f"two-hop trips, {len(transitions)} shortest transitions, "
+           f"{pair_trips.pairs.size} indexed pairs")
     rows = []
     for K, delta_seconds, sample in samples:
         elong = _elongation(stream, K, sample, pair_trips)

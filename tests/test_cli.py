@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,27 @@ def test_sweep_shannon_slot_metric(tmp_path, capsys):
                        "--metric", "shannon:5", "--out-dir", str(tmp_path / "o"))
     assert code == 0
     assert set(json.loads(out)["gamma"]) == {"shannon:5"}
+
+
+def test_dp_step_counts_on_stderr(tmp_path, capsys):
+    # at K=3, a-b and c-d (snapshots 1 and 2) share one DP step: neither
+    # touches c, which b-c in snapshot 3 writes
+    f = tmp_path / "toy.tsv"
+    f.write_text("a b 0\nc d 1\nb c 2\n")
+    code, _, err = run(capsys, "sweep", "--input", str(f), "--k-list", "1,3",
+                       "--out-dir", str(tmp_path / "o"))
+    assert code == 0
+    counts = [re.search(r" snapshots=(\d+) steps=(\d+) dp=\d+\.\d{3}s$", line)
+              for line in err.splitlines() if line.startswith("K=")]
+    assert [m.groups() for m in counts] == [("3", "2"), ("1", "1")]
+    code, _, err = run(capsys, "validate", "--input", str(f), "--k-list", "3",
+                       "--out", str(tmp_path / "v.csv"))
+    assert code == 0
+    dp, stream_pass = err.splitlines()
+    assert dp.startswith("K=3: series DP ")
+    assert stream_pass.startswith("stream pass ")
+    assert dp.endswith(", snapshots=3 steps=2")
+    assert stream_pass.endswith(", snapshots=3 steps=2")
 
 
 def test_distribution_total_aggregation(tmp_path, capsys):

@@ -6,6 +6,7 @@ the fixed seeds of the other tests do not cover; every example is
 checked against the oracles or against a second parse.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from streamscale.aggregate import GraphSeries, aggregate  # noqa: E402
 from streamscale.classic import snapshot_stats  # noqa: E402
 from streamscale.stream import (LinkStream, parse_konect,  # noqa: E402
                                 parse_tsv, write_tsv)
+from streamscale.sweep import report_to_json, run_sweep  # noqa: E402
 from streamscale.validate import (_stream_pass, _TripSampler,  # noqa: E402
                                   enumerate_shortest_transitions)
 
@@ -55,12 +57,12 @@ def series_cases(draw, max_n=7, max_k=6):
     return series, snapshots, n, directed
 
 
-@settings(max_examples=150, deadline=None)
-@given(series_cases(), st.sampled_from([1, 4, 6]))
-def test_dp_matches_oracles_property(case, bound):
-    # once as is, once with every size constant shrunk: two-column blocks,
-    # a trip chunk of one, and gathers and row blocks of ``bound``
-    # elements, so that gathers split inside and across sources
+def _check_against_oracles(case, bound):
+    """The DP's trips, occupancy and distance sums against the oracles,
+    once as is, once with every size constant shrunk: two-column blocks,
+    a trip chunk of one, and gathers and row blocks of ``bound``
+    elements, so that gathers split inside and across sources and steps
+    hold fewer snapshots."""
     series, snapshots, n, directed = case
     trips = series_minimal_trips(snapshots, directed)
     occupancy = Counter((h, arr - dep + 1) for _, _, dep, arr, h in trips)
@@ -75,6 +77,40 @@ def test_dp_matches_oracles_property(case, bound):
         assert got == trips
         assert dict(dist.items()) == occupancy
         assert (agg.sum_d_time, agg.sum_d_hops, agg.finite_triples) == sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_cases(), st.sampled_from([1, 4, 6]))
+def test_dp_matches_oracles_property(case, bound):
+    _check_against_oracles(case, bound)
+
+
+@st.composite
+def sparse_series_cases(draw, max_n=8, max_k=20):
+    """(series, snapshots, n, directed) of a series with one or two edges
+    per snapshot, so that several snapshots often share one DP step."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, max_n))
+    K = draw(st.integers(1, max_k))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    snapshots = []
+    for _ in range(K):
+        edges = set(draw(st.lists(pair, max_size=2)))
+        if not directed:
+            edges = {(min(u, v), max(u, v)) for u, v in edges}
+        snapshots.append(sorted(edges))
+    series = GraphSeries.from_snapshots(snapshots, node_count=n,
+                                        directed=directed)
+    return series, snapshots, n, directed
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_series_cases(), st.sampled_from([1, 4, 6]))
+def test_batched_steps_match_oracles_property(case, bound):
+    # consecutive snapshots that touch no row a later one of them writes
+    # run as one DP step
+    _check_against_oracles(case, bound)
 
 
 @st.composite
@@ -124,6 +160,29 @@ def test_undirected_equals_both_directions_directed_property(case):
             reach.minimal_trip_sweep(doubled)
         assert scan_trips(plain) == scan_trips(doubled)
         assert snapshot_stats(plain) == snapshot_stats(doubled)
+
+
+def _report_without_names(stream):
+    """The sweep report of a stream as JSON, without its node labels and
+    its clock origin."""
+    doc = json.loads(report_to_json(run_sweep(stream, points=6, classic=True)))
+    del doc["labels"], doc["input"]["t_origin"]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams(), st.data())
+def test_report_invariant_under_relabelling_and_time_shift_property(case, data):
+    stream, events, directed = case
+    n = stream.node_count
+    perm = data.draw(st.permutations(range(n)))
+    shift = data.draw(st.integers(-10**12, 10**12))
+    rows = [(f"a{u}", f"a{v}", t) for u, v, t in events]
+    moved = [(f"b{perm[u]}", f"b{perm[v]}", t + shift) for u, v, t in events]
+    a, b = (parse_tsv("".join(f"{u}\t{v}\t{t}\n" for u, v, t in r),
+                      directed=directed) for r in (rows, moved))
+    assert b.t_origin == a.t_origin + shift
+    assert _report_without_names(a) == _report_without_names(b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -120,24 +120,39 @@ def test_column_blocks_merge_exactly(monkeypatch):
 @pytest.mark.parametrize("K", [4, 2**31 - 2])
 def test_key_packing_at_the_largest_k(K):
     # keys are ea*(K+2) + hops: at K = 2^31 - 2 the sentinel (K+1)*(K+2)
-    # is near 2^62. Edges 0->1 in 1, 1->2 in 2, 2->0 in K-1, 0->1 in K;
-    # only the non-empty snapshots are walked, so any K is cheap
-    series = GraphSeries([1, 2, K - 1, K], [0, 1, 2, 0], [1, 2, 0, 1],
-                         snapshot_count=K, node_count=3, horizon=K,
+    # is near 2^62. Edges 0->1 in 1, 1->2 in 2, 2->0 in K-1, 0->1 in K,
+    # and the independent 3->4 in K-4, 5->6 in K-3, 7->8 in K-2 (those in
+    # snapshots >= 1); only the non-empty snapshots are walked, so any K
+    # is cheap
+    extra = [(k, a, a + 1) for k, a in ((K - 4, 3), (K - 3, 5), (K - 2, 7))
+             if k >= 1]
+    ek, eu, ev = zip(*[(1, 0, 1), (2, 1, 2), (K - 1, 2, 0), (K, 0, 1), *extra])
+    series = GraphSeries(ek, eu, ev, snapshot_count=K, node_count=9, horizon=K,
                          directed=True)
+    if K > 10:
+        # K-4..K-1 run as one step, and the k-weighted sums of its five
+        # new finite keys alone overflow int64 near K = 2^31
+        cuts = reach._batch_cuts(series, reach._step_edges(9))
+        assert cuts == [0, 1, 2, 6, 7]
     assert scan_trips(series) == {
         (0, 1, 1, 1, 1), (0, 1, K, K, 1), (1, 2, 2, 2, 1), (0, 2, 1, 2, 2),
-        (2, 0, K - 1, K - 1, 1), (2, 1, K - 1, K, 2), (1, 0, 2, K - 1, 2)}
+        (2, 0, K - 1, K - 1, 1), (2, 1, K - 1, K, 2), (1, 0, 2, K - 1, 2),
+        *((a, b, k, k, 1) for k, a, b in extra)}
     dist, agg = minimal_trip_sweep(series)
-    assert dist == OccupancyDistribution([1, 1, 1, 1, 2, 2, 2],
-                                         [1, 1, 1, 1, 2, 2, K - 2])
+    ones = [1] * len(extra)
+    assert dist == OccupancyDistribution([1, 1, 1, 1, 2, 2, 2] + ones,
+                                         [1, 1, 1, 1, 2, 2, K - 2] + ones)
     # per pair over departures 1..K: (0,1) arrives 1 from 1, K from 2..K;
     # (1,2) 2 from 1..2; (0,2) 2 from 1; (2,0) K-1 from 1..K-1; (2,1) K
-    # from 1..K-1 on two hops; (1,0) K-1 from 1..2 on two hops
+    # from 1..K-1 on two hops; (1,0) K-1 from 1..2 on two hops; an extra
+    # edge in k arrives k from 1..k on one hop
     d_time = ((1 + K * (K - 1) // 2) + 3 + 2 + K * (K - 1) // 2
-              + (K * (K + 1) // 2 - 1) + (2 * K - 3))
-    d_hops = K + 2 + 2 + (K - 1) + 2 * (K - 1) + 4
-    finite = K + 2 + 1 + (K - 1) + (K - 1) + 2
+              + (K * (K + 1) // 2 - 1) + (2 * K - 3)
+              + sum(k * (k + 1) // 2 for k, _, _ in extra))
+    d_hops = (K + 2 + 2 + (K - 1) + 2 * (K - 1) + 4
+              + sum(k for k, _, _ in extra))
+    finite = (K + 2 + 1 + (K - 1) + (K - 1) + 2
+              + sum(k for k, _, _ in extra))
     assert (agg.sum_d_time, agg.sum_d_hops, agg.finite_triples) == \
         (d_time, d_hops, finite)
     if K < 10:
@@ -146,8 +161,40 @@ def test_key_packing_at_the_largest_k(K):
                            series.sv.tolist()):
             snapshots[k - 1].append((u, v))
         assert (d_time, d_hops, finite) == \
-            series_distance_sums(snapshots, 3, True)
+            series_distance_sums(snapshots, 9, True)
         assert scan_trips(series) == series_minimal_trips(snapshots, True)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_batch_cut_points(directed):
+    # a snapshot joins the step of the later ones unless one of its
+    # sources or targets is a source there; steps keep at most ``step``
+    # edges, and a larger snapshot runs alone
+    cases = [
+        ([[(0, 1)], [(2, 3)]], [0, 2]),           # disjoint: one step
+        ([[(0, 1)], [(1, 2)]], [0, 1, 2]),        # target of 1, source of 2
+        ([[(0, 1)], [(0, 2)]], [0, 1, 2]),        # source of both
+        ([[(1, 2)], [(0, 1)], [(3, 4)]],          # 0 -> 1 writes row 1
+         [0, 3] if directed else [0, 1, 3]),      # only when undirected
+        ([[(0, 1)], [], [(2, 3), (4, 5)], [(6, 7)]], [0, 3]),
+    ]
+    for snapshots, cuts in cases:
+        series = GraphSeries.from_snapshots(snapshots, node_count=8,
+                                            directed=directed)
+        assert reach._batch_cuts(series, 8) == cuts
+        assert collect_trips(series)[0] == series_minimal_trips(snapshots,
+                                                                directed)
+    series = GraphSeries.from_snapshots(
+        [[(0, 1)], [(2, 3)], [(4, 5)], [(6, 7)]], directed=directed)
+    per = 1 if directed else 2  # edges per snapshot
+    assert reach._batch_cuts(series, 2 * per) == [0, 2, 4]
+    assert reach._batch_cuts(series, 3 * per) == [0, 1, 4]
+    assert reach._batch_cuts(series, 1) == [0, 1, 2, 3, 4]
+    series = GraphSeries.from_snapshots(
+        [[(0, 1)], [(2, 3), (4, 5), (6, 7)], [(8, 9)]], directed=directed)
+    assert reach._batch_cuts(series, 3 * per - 1) == [0, 1, 2, 3]
+    assert reach._batch_cuts(series, 4 * per) == [0, 1, 3]
+    assert reach._batch_cuts(series, 5 * per) == [0, 3]
 
 
 def test_dp_memory_stays_near_its_state():
@@ -221,6 +268,16 @@ def test_distribution_merges_and_support():
                 ([1], [2], [1, 1]), ([[1]], [[1]])):
         with pytest.raises(ValueError):
             OccupancyDistribution(*bad)
+
+
+def test_reduced_rates_are_computed_once_and_read_only():
+    d = OccupancyDistribution([1, 1, 2], [2, 3, 4])
+    rates = d.reduced_rate_arrays()
+    assert d.reduced_rate_arrays() is rates
+    for a in rates:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert [a.tolist() for a in rates[:3]] == [[1, 1], [3, 2], [1, 2]]
 
 
 def test_counts_stay_exact_above_2_53():
